@@ -14,7 +14,7 @@
 // `--json PATH` switches to CI mode: the shared per-kernel ns/point
 // measurement (harness::measure_geometry_kernels — the same workload `hydra
 // perf` runs), written as hydra-bench-v1 JSON and gated against
-// bench/baselines/BENCH_geometry.json by tools/perf_gate. The ablation and
+// bench/baselines/BENCH_geometry.json by `hydra perf --input`. The ablation and
 // the google-benchmark suite are skipped in that mode.
 #include <benchmark/benchmark.h>
 

@@ -2,8 +2,8 @@
 //
 // Every bench that measures time accepts `--json PATH` (or `--json=PATH`)
 // and writes its measurements in the shared hydra-bench-v1 schema
-// (src/harness/perf.hpp), so one parser, one delta renderer (`hydra perf
-// --baseline`) and one CI gate (tools/perf_gate) cover all of them.
+// (src/harness/perf.hpp), so one parser, one delta renderer and one CI gate
+// (`hydra perf --input J --baseline B`) cover all of them.
 // consume_json_path() strips the flag from argv so binaries that hand the
 // remaining arguments to google-benchmark's Initialize never confuse it.
 #pragma once

@@ -8,7 +8,7 @@
 // `--json PATH` switches to CI mode: two fixed workloads (raw event-loop
 // ns/event, one full ΠAA run in ms) measured with harness::time_rate and
 // written as hydra-bench-v1 JSON, gated against
-// bench/baselines/BENCH_simulator.json by tools/perf_gate. The
+// bench/baselines/BENCH_simulator.json by `hydra perf --input`. The
 // google-benchmark suite is skipped in that mode.
 #include <benchmark/benchmark.h>
 

@@ -71,7 +71,7 @@ int main() {
       model = std::make_unique<sim::UniformDelay>(1, p.delta / 4);
     }
     transport::ThreadNetwork net(
-        {.n = c.n, .delta = p.delta, .us_per_tick = 20.0, .seed = c.n,
+        {.n = c.n, .delta = p.delta, .seed = c.n, .us_per_tick = 20.0,
          .timeout_ms = 60'000},
         std::move(model));
 
@@ -111,7 +111,7 @@ int main() {
                harness::fmt(std::uint64_t{c.ta}), harness::fmt(std::uint64_t{c.dim}),
                c.async_delays ? "async-exp" : "sync-jitter",
                c.faults[0] != '\0' ? "dup+reorder" : "-",
-               harness::fmt(std::uint64_t(stats.wall_ms)), harness::fmt(stats.messages),
+               harness::fmt(std::uint64_t(stats.wall_ms)), harness::fmt(stats.wire.messages),
                harness::fmt(diam), harness::fmt_ok(live), harness::fmt_ok(valid),
                harness::fmt_ok(diam <= p.eps + 1e-9)});
   }

@@ -12,7 +12,7 @@
 //     artifact.
 //
 // With --json PATH the measurements land in the shared hydra-bench-v1
-// schema so tools/perf_gate can gate instances/sec regressions in CI.
+// schema so `hydra perf --input` can gate instances/sec regressions in CI.
 #include <cstdio>
 #include <string>
 #include <vector>

@@ -1,5 +1,5 @@
-// Performance-measurement toolkit shared by the bench binaries, the `hydra
-// perf` subcommand, and the CI regression gate (tools/perf_gate):
+// Performance-measurement toolkit shared by the bench binaries and the `hydra
+// perf` subcommand, which is also the CI regression gate:
 //
 //   * BenchMetric + the unified bench JSON schema ("hydra-bench-v1"): every
 //     bench that measures time emits the same shape, so one parser, one

@@ -29,8 +29,8 @@
 #include "protocols/init.hpp"
 #include "sim/delay.hpp"
 #include "sim/sim_backend.hpp"
-#include "transport/socket_backend.hpp"
-#include "transport/thread_backend.hpp"
+#include "transport/socket_net.hpp"
+#include "transport/thread_net.hpp"
 
 namespace hydra::harness {
 namespace {

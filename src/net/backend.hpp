@@ -3,10 +3,10 @@
 // A Backend runs a set of sim::IParty protocol objects under one network
 // model and returns backend-neutral statistics. The builtins registered
 // here: "sim" (sim::SimBackend, the deterministic discrete-event simulator),
-// "threads" (transport::ThreadBackend, one OS thread per party under
-// wall-clock time), and "tcp"/"uds" (transport::SocketBackend, parties
-// exchanging length-prefixed frames over real sockets, in-process or across
-// process boundaries). harness::execute() selects one by name through a
+// "threads" (transport::ThreadNetwork, one OS thread per party under
+// wall-clock time), and "tcp"/"uds" (transport::SocketNetwork, the same
+// wall-clock runtime with parties exchanging length-prefixed frames over
+// real sockets, in-process or across process boundaries). harness::execute() selects one by name through a
 // single code path, so further backends are an additive change: implement
 // Backend, call register_backend() at startup.
 //
@@ -70,8 +70,8 @@ struct BackendStats {
   bool hit_limit = false;    ///< stopped by max_time/max_events (sim only)
   /// Stopped early because a strict-mode invariant monitor requested it.
   bool monitor_aborted = false;
-  bool timed_out = false;     ///< wall-clock timeout elapsed (threads only)
-  std::int64_t wall_ms = 0;   ///< wall-clock duration (threads only)
+  bool timed_out = false;     ///< wall-clock timeout elapsed (wall-clock backends)
+  std::int64_t wall_ms = 0;   ///< wall-clock duration (wall-clock backends)
   /// Per-party watchdog snapshot (wall-clock backends; empty on sim).
   std::vector<PartyProgress> progress;
   /// Names WHO stalled when timed_out (wall-clock backends).

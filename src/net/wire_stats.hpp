@@ -1,10 +1,11 @@
 // Backend-neutral wire statistics.
 //
-// Both transports (sim::Simulation, transport::ThreadNetwork) account for
-// network traffic through the shared net::EgressPipeline, and both publish
-// the result in this common shape: SimStats and ThreadNetStats each derive
-// from WireStats, so harness code can read message/byte totals without
-// knowing which backend produced them.
+// Every backend (sim::Simulation, and the wall-clock runtime
+// transport::ThreadNetwork that the socket transport derives from) accounts
+// for network traffic through the shared net::EgressPipeline and publishes
+// the result in this common shape — SimStats derives from WireStats, and
+// BackendStats::wire carries it — so harness code can read message/byte
+// totals without knowing which backend produced them.
 #pragma once
 
 #include <array>
@@ -34,7 +35,7 @@ struct WireStats {
 
 /// Socket-transport health accounting (backends "tcp"/"uds"; all-zero on
 /// the in-process transports). Counters plus two log2 histograms, exported
-/// through SocketNetStats → BackendStats → RunResult into the metrics JSON
+/// through BackendStats → RunResult into the metrics JSON
 /// "transport_health" block and the rendered report.
 struct TransportHealth {
   /// Bucket count shared by both histograms; bucket k covers values in
@@ -76,9 +77,9 @@ struct TransportHealth {
   }
 };
 
-/// Per-party progress snapshot, filled in by the thread backend's watchdog
-/// after the run (empty on the simulator, whose quiescence detection makes a
-/// stall impossible to confuse with completion).
+/// Per-party progress snapshot, filled in by the wall-clock runtime's
+/// watchdog after the run (empty on the simulator, whose quiescence
+/// detection makes a stall impossible to confuse with completion).
 struct PartyProgress {
   bool finished = false;       ///< `finished` predicate held at shutdown
   bool crash_stopped = false;  ///< a fault-plan crash-stop silenced the party

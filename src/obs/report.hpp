@@ -2,8 +2,8 @@
 // a self-contained human-readable report — convergence/contraction series,
 // invariant-violation timeline, per-party send/deliver matrix, and the
 // paper-bound vs. measured complexity table. The rendering logic lives in
-// the library so tests can cover it; tools/trace_report.cpp and the `hydra
-// report` subcommand are thin wrappers.
+// the library so tests can cover it; the `hydra report` subcommand is a thin
+// wrapper.
 #pragma once
 
 #include <istream>

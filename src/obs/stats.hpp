@@ -1,7 +1,8 @@
 // Live telemetry: periodic `hydra-stats-v1` JSONL heartbeats.
 //
-// A StatsPublisher rides in the per-run obs::Context (context.hpp). Backends
-// look it up ONCE at run start (obs::stats()) and, if present, register a
+// A StatsPublisher rides in the per-run obs::Context (context.hpp). The
+// wall-clock party runtime behind threads/tcp/uds (transport/thread_net.hpp)
+// looks it up ONCE at run start (obs::stats()) and, if present, registers a
 // snapshot provider — a callback that fills a StatsSnapshot from live
 // transport state (wire totals, drop counters, queue depths, per-party
 // progress). A background thread then samples the provider every
@@ -81,8 +82,8 @@ class StatsPublisher {
   /// Installs (or, with nullptr, removes) the live snapshot source. Called
   /// by the backend when its transport state exists; heartbeats before the
   /// first provider (or after removal) carry zeros. The provider must be
-  /// removed before the state it captures dies — SocketNetwork::run()
-  /// removes it before teardown.
+  /// removed before the state it captures dies — the wall-clock party
+  /// runtime (transport::ThreadNetwork::run()) removes it before teardown.
   void set_provider(Provider provider);
 
   /// Emits the final snapshot ("final":1), flushes, and joins the thread.

@@ -9,19 +9,14 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
-#include <sstream>
 #include <utility>
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
-#include "faults/faults.hpp"
-#include "net/delivery.hpp"
-#include "obs/context.hpp"
-#include "obs/monitor.hpp"
-#include "obs/prof.hpp"
 #include "obs/stats.hpp"
 #include "transport/socket_wire.hpp"
 
@@ -218,130 +213,40 @@ std::string validate_uds_endpoint(const std::string& endpoint) {
   return "";
 }
 
-/// The per-party Env implementation; used only from the party's own worker
-/// thread (same contract as ThreadNetwork::ThreadEnv).
-class SocketNetwork::SocketEnv final : public sim::Env {
- public:
-  SocketEnv(SocketNetwork* net, PartyId id) : net_(net), id_(id) {}
 
-  void send(PartyId to, sim::Message msg) override { net_->post(id_, to, std::move(msg)); }
-
-  void broadcast(const sim::Message& msg) override {
-    for (PartyId to = 0; to < net_->config_.n; ++to) net_->post(id_, to, msg);
-  }
-
-  void set_timer(Time at, std::uint64_t timer_id) override {
-    timers_.emplace(at, timer_id);
-  }
-
-  [[nodiscard]] Time now() const override { return net_->now_ticks(); }
-  [[nodiscard]] PartyId self() const override { return id_; }
-  [[nodiscard]] std::size_t n() const override { return net_->config_.n; }
-
-  [[nodiscard]] Time next_timer() const {
-    return timers_.empty() ? kTimeInfinity : timers_.top().first;
-  }
-
-  std::optional<std::uint64_t> pop_due_timer(Time now) {
-    if (timers_.empty() || timers_.top().first > now) return std::nullopt;
-    const auto id = timers_.top().second;
-    timers_.pop();
-    return id;
-  }
-
- private:
-  using TimerEntry = std::pair<Time, std::uint64_t>;
-  SocketNetwork* net_;
-  PartyId id_;
-  std::priority_queue<TimerEntry, std::vector<TimerEntry>, std::greater<>> timers_;
-};
-
-SocketNetwork::SocketNetwork(SocketNetConfig config,
+SocketNetwork::SocketNetwork(net::BackendConfig config, bool uds,
                              std::unique_ptr<sim::DelayModel> delay_model)
-    : config_(std::move(config)),
-      delay_model_(std::move(delay_model)),
-      delay_rng_(config_.seed),
-      local_mask_(config_.n, false),
-      fin_received_(config_.n),
-      pipeline_(net::EgressConfig{.n = config_.n,
-                                  .delta = config_.delta,
-                                  .per_round = false,
-                                  .eager_ids = true,
-                                  .messages_counter = "net.messages",
-                                  .bytes_counter = "net.bytes",
-                                  .delay_histogram = "net.delay_delta"}) {
-  HYDRA_ASSERT(delay_model_ != nullptr);
-  HYDRA_ASSERT(config_.n >= 1);
-  HYDRA_ASSERT(config_.us_per_tick > 0.0);
-  if (config_.local.empty()) {
-    local_mask_.assign(config_.n, true);
-  } else {
-    for (const PartyId id : config_.local) {
-      HYDRA_ASSERT_MSG(id < config_.n, "socket transport: local party id >= n");
-      local_mask_[id] = true;
+    : ThreadNetwork(std::move(config), std::move(delay_model)),
+      uds_(uds),
+      fin_sent_(config_.n, false) {
+  const std::size_t n = config_.n;
+  if (!config_.local_parties.empty()) {
+    local_.assign(n, false);
+    for (const PartyId id : config_.local_parties) {
+      HYDRA_ASSERT_MSG(id < n, "socket transport: local party id >= n");
+      local_[id] = true;
     }
   }
-  mailboxes_.reserve(config_.n);
-  out_queues_.reserve(config_.n);
-  for (std::size_t i = 0; i < config_.n; ++i) {
-    mailboxes_.push_back(std::make_unique<Mailbox>());
-    out_queues_.push_back(std::make_unique<Mailbox>());
-    fin_received_[i].store(false, std::memory_order_relaxed);
-  }
-  out_fds_.assign(config_.n * config_.n, -1);
+  all_local_ = std::all_of(local_.begin(), local_.end(), [](bool b) { return b; });
+  out_queues_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) out_queues_.push_back(std::make_unique<Mailbox>());
+  out_fds_.assign(n * n, -1);
 }
 
-SocketNetwork::~SocketNetwork() = default;
-
-Time SocketNetwork::now_ticks() const {
-  const auto us =
-      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - epoch_)
-          .count();
-  return static_cast<Time>(static_cast<double>(us) / config_.us_per_tick);
-}
-
-Clock::time_point SocketNetwork::tick_deadline(Time at) const {
-  return epoch_ + std::chrono::microseconds(
-                      static_cast<std::int64_t>(static_cast<double>(at) *
-                                                config_.us_per_tick) +
-                      1);
-}
-
-void SocketNetwork::post(PartyId from, PartyId to, sim::Message msg) {
-  HYDRA_ASSERT(to < config_.n);
-  const bool self = from == to;
-  const Time now = now_ticks();
-  Duration base = 0;
-  if (!self) {
-    const std::lock_guard lock(delay_mutex_);
-    base = delay_model_->delay(from, to, now, msg, delay_rng_);
-  }
-  // All egress policy lives in the shared net::EgressPipeline — the fault
-  // injector acts here, at socket egress, so drop/dup/reorder/partition
-  // plans shape the frame stream exactly as they shape the other backends'
-  // queues. This function only schedules the surviving copies.
-  const auto egress = pipeline_.on_send(from, to, msg, now, base, injector_);
-  if (egress.copies == 0) return;  // crashed endpoint dropped it
-  // Self-deliveries bypass the socket (local computation, same as both
-  // in-process transports); everything else is queued for the party's
-  // writer, which serializes the frame when its delay elapses. Item
-  // convention on writer queues: `from` holds the DESTINATION.
-  auto push_copy = [&](std::uint32_t idx, sim::Message&& m) {
-    Mailbox::Item item{now + egress.delay[idx],
-                       arrival_seq_.fetch_add(1, std::memory_order_relaxed),
-                       egress.send_id, self ? from : to, std::move(m)};
-    Mailbox& box = self ? *mailboxes_[to] : *out_queues_[from];
-    box.push(std::move(item));
-    HealthAtomics::raise(self ? health_.mailbox_hwm : health_.egress_hwm,
-                         box.size());
-  };
-  if (egress.copies == 2) {
-    sim::Message copy = msg;
-    push_copy(0, std::move(msg));
-    push_copy(1, std::move(copy));
+void SocketNetwork::enqueue(PartyId to, Mailbox::Item item) {
+  // Self-deliveries bypass the socket (local computation, same as the
+  // in-process transport); everything else is queued for the sender's
+  // writer, which serializes the frame when its delay elapses.
+  const PartyId from = item.from;
+  item.seq = arrival_seq_.fetch_add(1, std::memory_order_relaxed);
+  if (from == to) {
+    mailboxes_[to]->push(std::move(item));
+    HealthAtomics::raise(health_.mailbox_hwm, mailboxes_[to]->size());
     return;
   }
-  push_copy(0, std::move(msg));
+  item.from = to;  // writer-queue convention: `from` holds the DESTINATION
+  out_queues_[from]->push(std::move(item));
+  HealthAtomics::raise(health_.egress_hwm, out_queues_[from]->size());
 }
 
 bool SocketNetwork::send_frame(int fd, std::mutex& mutex, const Bytes& body) {
@@ -450,6 +355,13 @@ void SocketNetwork::writer_loop(PartyId from) {
   }
 }
 
+void SocketNetwork::poison(int fd) {
+  decode_dropped_.fetch_add(1, std::memory_order_relaxed);
+  // The fd stays registered in conn_fds_ (closed at teardown); shutdown()
+  // alone is what makes the peer read EOF now rather than at run end.
+  ::shutdown(fd, SHUT_RDWR);
+}
+
 void SocketNetwork::reader_loop(int fd, PartyId bound_from, PartyId local_to) {
   const std::size_t n = config_.n;
   Bytes body;
@@ -460,14 +372,14 @@ void SocketNetwork::reader_loop(int fd, PartyId bound_from, PartyId local_to) {
       case ReadFrame::kBad:
         // Framing error — the stream is desynchronized; nothing after this
         // point can be trusted, so the connection is poisoned and closed.
-        decode_dropped_.fetch_add(1, std::memory_order_relaxed);
+        poison(fd);
         return;
       case ReadFrame::kOk:
         break;
     }
     auto frame = wire::decode_frame(body);
     if (!frame) {
-      decode_dropped_.fetch_add(1, std::memory_order_relaxed);
+      poison(fd);
       return;  // parse failure: also a poisoned stream
     }
     health_.frames_received.fetch_add(1, std::memory_order_relaxed);
@@ -494,10 +406,12 @@ void SocketNetwork::reader_loop(int fd, PartyId bound_from, PartyId local_to) {
         break;
       }
       case wire::FrameType::kFin:
-        if (frame->fin.from == bound_from) {
-          fin_received_[bound_from].store(true, std::memory_order_release);
-        } else {
+        if (frame->fin.from != bound_from) {
           auth_dropped_.fetch_add(1, std::memory_order_relaxed);
+        } else if (!is_local(bound_from)) {
+          // The remote party's host reports it finished. (A FIN naming a
+          // party this process hosts tells the watchdog nothing.)
+          mark_done(bound_from);
         }
         break;
       case wire::FrameType::kHello:
@@ -508,22 +422,68 @@ void SocketNetwork::reader_loop(int fd, PartyId bound_from, PartyId local_to) {
   }
 }
 
-SocketNetStats SocketNetwork::run(
-    std::vector<std::unique_ptr<sim::IParty>>& parties,
-    const std::function<bool(const sim::IParty&, PartyId)>& finished) {
-  HYDRA_ASSERT(parties.size() == config_.n);
+void SocketNetwork::serve_connection(int fd, PartyId local_to) {
   const std::size_t n = config_.n;
-  const std::uint64_t run_id = config_.seed;
-  const bool all_local =
-      std::all_of(local_mask_.begin(), local_mask_.end(), [](bool b) { return b; });
+  set_recv_timeout(fd, 5);
+  Bytes body;
+  std::optional<wire::Frame> frame;
+  if (read_frame(fd, body) == ReadFrame::kOk) frame = wire::decode_frame(body);
+  // Wire-version mismatch gets its own actionable rejection: decode_frame
+  // deliberately parses ANY version's HELLO (docs/DEPLOYMENT.md wire
+  // contract) so this layer can tell the operator which side to upgrade
+  // instead of silently dropping the peer.
+  if (frame && frame->type == wire::FrameType::kHello &&
+      frame->hello.version != wire::kVersion) {
+    HYDRA_LOG_ERROR(
+        "socket_net: peer party %u speaks wire version %u, this build "
+        "speaks %u — upgrade the older side (mixed-version runs are not "
+        "supported); rejecting connection",
+        frame->hello.from, frame->hello.version, wire::kVersion);
+    poison(fd);
+    return;
+  }
+  if (!frame || frame->type != wire::FrameType::kHello ||
+      frame->hello.run_id != config_.seed || frame->hello.n != n ||
+      frame->hello.from >= n) {
+    poison(fd);
+    return;  // never bound: no identity, no frames accepted
+  }
+  set_recv_timeout(fd, 0);
+  health_.accepts.fetch_add(1, std::memory_order_relaxed);
+  // The bound HELLO counts as received here; reader_loop counts the rest
+  // (keeps frames_sent/frames_received symmetric on a healthy mesh).
+  health_.frames_received.fetch_add(1, std::memory_order_relaxed);
+  reader_loop(fd, frame->hello.from, local_to);
+}
+
+void SocketNetwork::accept_loop(PartyId local_to) {
+  for (;;) {
+    const int fd = ::accept(listen_fds_[local_to], nullptr, nullptr);
+    if (stop_.load(std::memory_order_acquire)) {
+      if (fd >= 0) ::close(fd);
+      return;
+    }
+    if (fd < 0) {
+      if (errno == EINTR) continue;
+      return;  // listener shut down
+    }
+    set_nodelay(fd, uds_);
+    const std::lock_guard lock(conn_mutex_);
+    conn_fds_.push_back(fd);
+    conn_threads_.emplace_back([this, fd, local_to] { serve_connection(fd, local_to); });
+  }
+}
+
+void SocketNetwork::open() {
+  const std::size_t n = config_.n;
 
   // ---------------------------------------------------------- endpoints
   endpoints_ = config_.endpoints;
   if (endpoints_.empty()) {
-    HYDRA_ASSERT_MSG(all_local,
+    HYDRA_ASSERT_MSG(all_local_,
                      "socket transport: self-assigned endpoints require every "
                      "party local (pass endpoints for serve/join mode)");
-    if (config_.uds) {
+    if (uds_) {
       char tmpl[] = "/tmp/hydra-uds-XXXXXX";
       HYDRA_ASSERT_MSG(::mkdtemp(tmpl) != nullptr,
                        "socket transport: mkdtemp failed for uds endpoints");
@@ -537,7 +497,7 @@ SocketNetStats SocketNetwork::run(
   }
   HYDRA_ASSERT_MSG(endpoints_.size() == n,
                    "socket transport: endpoints must name every party");
-  if (config_.uds) {
+  if (uds_) {
     // Last-resort check — the CLI validates user-supplied paths at parse
     // time; this catches programmatic callers before an inscrutable
     // bind/connect failure.
@@ -546,7 +506,6 @@ SocketNetStats SocketNetwork::run(
       HYDRA_ASSERT_MSG(error.empty(), error.c_str());
     }
   }
-  link_mutexes_.clear();
   for (std::size_t i = 0; i < n * n; ++i) {
     link_mutexes_.push_back(std::make_unique<std::mutex>());
   }
@@ -555,7 +514,7 @@ SocketNetStats SocketNetwork::run(
   listen_fds_.assign(n, -1);
   for (PartyId id = 0; id < n; ++id) {
     if (!is_local(id)) continue;
-    listen_fds_[id] = listen_on(endpoints_[id], config_.uds);
+    listen_fds_[id] = listen_on(endpoints_[id], uds_);
     HYDRA_ASSERT_MSG(listen_fds_[id] >= 0,
                      "socket transport: cannot listen on party endpoint");
   }
@@ -572,266 +531,60 @@ SocketNetStats SocketNetwork::run(
     if (!is_local(from)) continue;
     for (PartyId to = 0; to < n; ++to) {
       if (to == from) continue;
-      const int fd = connect_retry(endpoints_[to], config_.uds, setup_deadline,
+      const int fd = connect_retry(endpoints_[to], uds_, setup_deadline,
                                    health_.connect_attempts);
       HYDRA_ASSERT_MSG(fd >= 0, "socket transport: cannot connect to peer");
       health_.connects.fetch_add(1, std::memory_order_relaxed);
       const Bytes hello = wire::encode_hello(
-          {.run_id = run_id, .from = from, .n = static_cast<std::uint32_t>(n)});
+          {.run_id = config_.seed, .from = from, .n = static_cast<std::uint32_t>(n)});
       HYDRA_ASSERT_MSG(send_frame(fd, *link_mutexes_[from * n + to], hello),
                        "socket transport: handshake write failed");
       out_fds_[from * n + to] = fd;
     }
   }
+}
 
-  // The protocol clock starts here: ticks elapsed during connection setup
-  // would otherwise offset every timer and delay deadline.
-  epoch_ = Clock::now();
-
-  // ----------------------------------------------------------- acceptors
+void SocketNetwork::start_io() {
   // One acceptor per local listener; each accepted connection gets its own
   // thread that performs the HELLO handshake (under a receive timeout, so a
   // silent client cannot pin it) and then becomes the connection's reader,
-  // bound to the claimed PartyId.
-  auto handle_connection = [this, run_id, n](int fd, PartyId local_to) {
-    set_recv_timeout(fd, 5);
-    Bytes body;
-    std::optional<wire::Frame> frame;
-    if (read_frame(fd, body) == ReadFrame::kOk) frame = wire::decode_frame(body);
-    // Wire-version mismatch gets its own actionable rejection: decode_frame
-    // deliberately parses ANY version's HELLO (docs/DEPLOYMENT.md wire
-    // contract) so this layer can tell the operator which side to upgrade
-    // instead of silently dropping the peer.
-    if (frame && frame->type == wire::FrameType::kHello &&
-        frame->hello.version != wire::kVersion) {
-      HYDRA_LOG_ERROR(
-          "socket_net: peer party %u speaks wire version %u, this build "
-          "speaks %u — upgrade the older side (mixed-version runs are not "
-          "supported); rejecting connection",
-          frame->hello.from, frame->hello.version, wire::kVersion);
-      decode_dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    if (!frame || frame->type != wire::FrameType::kHello ||
-        frame->hello.run_id != run_id || frame->hello.n != n ||
-        frame->hello.from >= n) {
-      decode_dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;  // never bound: no identity, no frames accepted
-    }
-    set_recv_timeout(fd, 0);
-    health_.accepts.fetch_add(1, std::memory_order_relaxed);
-    // The bound HELLO counts as received here; reader_loop counts the rest
-    // (keeps frames_sent/frames_received symmetric on a healthy mesh).
-    health_.frames_received.fetch_add(1, std::memory_order_relaxed);
-    reader_loop(fd, frame->hello.from, local_to);
-  };
-
-  std::vector<std::thread> acceptors;
-  for (PartyId id = 0; id < n; ++id) {
+  // bound to the claimed PartyId. Acceptors start only now, after the clock:
+  // a reader stamps arrivals with now_ticks().
+  for (PartyId id = 0; id < config_.n; ++id) {
     if (!is_local(id)) continue;
-    acceptors.emplace_back([this, id, &handle_connection] {
-      for (;;) {
-        const int fd = ::accept(listen_fds_[id], nullptr, nullptr);
-        if (stop_.load(std::memory_order_acquire)) {
-          if (fd >= 0) ::close(fd);
-          return;
-        }
-        if (fd < 0) {
-          if (errno == EINTR) continue;
-          return;  // listener shut down
-        }
-        set_nodelay(fd, config_.uds);
-        const std::lock_guard lock(conn_mutex_);
-        conn_fds_.push_back(fd);
-        conn_threads_.emplace_back(
-            [fd, id, &handle_connection] { handle_connection(fd, id); });
-      }
-    });
+    acceptors_.emplace_back([this, id] { accept_loop(id); });
+    writers_.emplace_back([this, id] { writer_loop(id); });
   }
+}
 
-  // ------------------------------------------------------------- workers
-  // Watchdog state and the worker loop mirror the thread transport
-  // (transport/thread_net.cpp) — same progress accounting, same
-  // crash-excusal, same timeout_detail format — per the backend-parity
-  // contract for PartyProgress/timeout reporting.
-  std::vector<std::atomic<bool>> done(n);
-  std::vector<std::atomic<std::uint64_t>> handled(n);
-  std::vector<std::atomic<Time>> last_progress(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    done[i].store(false, std::memory_order_relaxed);
-    handled[i].store(0, std::memory_order_relaxed);
-    last_progress[i].store(0, std::memory_order_relaxed);
-  }
-
-  obs::Context* obs_ctx = obs::current_context();
-  auto worker = [&, obs_ctx](PartyId id) {
-    const obs::ScopedContext obs_scope(obs_ctx);
-    HYDRA_PROF_SCOPE("transport.worker");
-    SocketEnv env(this, id);
-    sim::IParty& party = *parties[id];
-    party.start(env);
-    if (finished(party, id)) done[id].store(true, std::memory_order_release);
-
-    while (!stop_.load(std::memory_order_acquire)) {
-      const Time timer_at = env.next_timer();
-      auto item = mailboxes_[id]->pop_due([this] { return now_ticks(); },
-                                          [this](Time at) { return tick_deadline(at); },
-                                          timer_at);
-      if (stop_.load(std::memory_order_acquire)) break;
-      bool progressed = false;
-      if (item) {
-        if (obs::enabled()) {
-          net::DeliveryGate::dispatch(now_ticks(), item->from, id, item->msg,
-                                      item->cause, [&] {
-            party.on_message(env, item->from, item->msg);
-          });
-        } else {
-          party.on_message(env, item->from, item->msg);
-        }
-        progressed = true;
-      }
-      const Time now = now_ticks();
-      while (auto timer_id = env.pop_due_timer(now)) {
-        HYDRA_PROF_SCOPE("transport.timer");
-        party.on_timer(env, *timer_id);
-        progressed = true;
-      }
-      if (progressed) {
-        handled[id].fetch_add(1, std::memory_order_relaxed);
-        last_progress[id].store(now_ticks(), std::memory_order_relaxed);
-        if (!done[id].load(std::memory_order_relaxed) && finished(party, id)) {
-          done[id].store(true, std::memory_order_release);
-        }
-      }
-      // A finished party keeps relaying (ΠrBC echoes) until shutdown.
-    }
-  };
-
-  std::vector<std::thread> workers;
-  std::vector<std::thread> writers;
+void SocketNetwork::on_poll() {
+  // FIN frames are written directly, serialized with the writer by the link
+  // mutex; the runtime's watchdog waits for the remotes' FINs before
+  // stopping (a crash-windowed remote is excused, it can never FIN).
+  if (all_local_) return;
+  const std::size_t n = config_.n;
   for (PartyId id = 0; id < n; ++id) {
-    if (!is_local(id)) continue;
-    workers.emplace_back(worker, id);
-    writers.emplace_back([this, id] { writer_loop(id); });
+    if (!is_local(id) || fin_sent_[id] || !done(id)) continue;
+    fin_sent_[id] = true;
+    const Bytes fin = wire::encode_fin(id);
+    for (PartyId to = 0; to < n; ++to) {
+      if (to == id || is_local(to)) continue;
+      const int fd = out_fds_[id * n + to];
+      if (fd >= 0) send_frame(fd, *link_mutexes_[id * n + to], fin);
+    }
   }
+}
 
-  // ------------------------------------------------------------ watchdog
-  auto crash_excused = [&](PartyId id) {
-    if (injector_ == nullptr) return false;
-    for (const auto& c : injector_->plan().crashes) {
-      if (c.party == id && now_ticks() >= c.at) return true;
-    }
-    return false;
-  };
-  auto satisfied = [&](PartyId id) {
-    return done[id].load(std::memory_order_acquire) || crash_excused(id);
-  };
-
-  obs::MonitorHost* mon = obs::enabled() ? obs::monitors() : nullptr;
-
-  // Live telemetry: looked up once (context-scoped, obs/stats.hpp), then the
-  // sampling thread pulls snapshots from live transport state. The provider
-  // captures run()-local watchdog arrays by reference — it is removed below,
-  // before any of that state dies.
-  obs::StatsPublisher* stats_pub = obs::stats();
-  if (stats_pub != nullptr) {
-    stats_pub->set_provider([&, n](obs::StatsSnapshot& s) {
-      s.messages = pipeline_.messages();
-      s.bytes = pipeline_.bytes();
-      s.auth_dropped = auth_dropped_.load(std::memory_order_relaxed);
-      s.decode_dropped = decode_dropped_.load(std::memory_order_relaxed);
-      for (PartyId id = 0; id < n; ++id) {
-        if (!is_local(id)) continue;
-        s.egress_depth += out_queues_[id]->size();
-        s.mailbox_depth += mailboxes_[id]->size();
-        obs::StatsSnapshot::Party p;
-        p.id = id;
-        p.finished = done[id].load(std::memory_order_acquire);
-        p.events = handled[id].load(std::memory_order_relaxed);
-        p.round = config_.delta > 0
-                      ? static_cast<std::uint64_t>(
-                            last_progress[id].load(std::memory_order_relaxed) /
-                            config_.delta)
-                      : 0;
-        if (p.finished) ++s.decided;
-        s.round = std::max(s.round, p.round);
-        s.parties.push_back(p);
-      }
-    });
-  }
-
-  // Multi-process shutdown handshake: announce each local party's finish to
-  // every remote party with a FIN frame (written directly, serialized with
-  // the writer by the link mutex), and wait for the remotes' FINs before
-  // stopping — a crash-windowed remote is excused, it can never FIN.
-  std::vector<bool> fin_sent(n, false);
-  auto announce_finished = [&] {
-    if (all_local) return;
-    for (PartyId id = 0; id < n; ++id) {
-      if (!is_local(id) || fin_sent[id] || !done[id].load(std::memory_order_acquire)) {
-        continue;
-      }
-      fin_sent[id] = true;
-      const Bytes fin = wire::encode_fin(id);
-      for (PartyId to = 0; to < n; ++to) {
-        if (to == id || is_local(to)) continue;
-        const int fd = out_fds_[id * n + to];
-        if (fd >= 0) send_frame(fd, *link_mutexes_[id * n + to], fin);
-      }
-    }
-  };
-
-  const auto deadline = Clock::now() + std::chrono::milliseconds(config_.timeout_ms);
-  bool timed_out = false;
-  bool monitor_aborted = false;
-  for (;;) {
-    announce_finished();
-    std::size_t ok = 0;
-    std::size_t expected = 0;
-    for (PartyId id = 0; id < n; ++id) {
-      ++expected;
-      if (is_local(id)) {
-        ok += satisfied(id) ? 1 : 0;
-      } else {
-        ok += (fin_received_[id].load(std::memory_order_acquire) ||
-               crash_excused(id))
-                  ? 1
-                  : 0;
-      }
-    }
-    if (ok == expected) break;
-    if (mon != nullptr && mon->abort_requested()) {
-      monitor_aborted = true;
-      break;
-    }
-    if (Clock::now() >= deadline) {
-      timed_out = true;
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  // The final heartbeat ("final":1) must sample the provider while the
-  // watchdog state it captures is still alive, so the publisher stops HERE;
-  // the harness's own stop() at run teardown is then an idempotent no-op.
-  if (stats_pub != nullptr) {
-    stats_pub->stop();
-    stats_pub->set_provider(nullptr);
-  }
-
-  // ------------------------------------------------------------ shutdown
-  stop_.store(true, std::memory_order_release);
-  for (PartyId id = 0; id < n; ++id) {
-    if (!is_local(id)) continue;
-    mailboxes_[id]->close();
-    out_queues_[id]->close();
+void SocketNetwork::stop_io() {
+  for (PartyId id = 0; id < config_.n; ++id) {
+    if (is_local(id)) out_queues_[id]->close();
   }
   // Order matters: silence the listeners and join the acceptors first, so
   // no connection can register after the wake-up sweep below.
   for (const int fd : listen_fds_) {
     if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
   }
-  for (auto& t : acceptors) t.join();
+  for (auto& t : acceptors_) t.join();
   {
     const std::lock_guard lock(conn_mutex_);
     for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
@@ -839,71 +592,47 @@ SocketNetStats SocketNetwork::run(
   for (const int fd : out_fds_) {
     if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
   }
-  for (auto& t : workers) t.join();
-  for (auto& t : writers) t.join();
+}
+
+void SocketNetwork::join_io() {
+  for (auto& t : writers_) t.join();
   for (auto& t : conn_threads_) t.join();
-  conn_threads_.clear();
-  for (int& fd : conn_fds_) ::close(fd);
-  conn_fds_.clear();
-  for (int& fd : out_fds_) {
+  for (const int fd : conn_fds_) ::close(fd);
+  for (const int fd : out_fds_) {
     if (fd >= 0) ::close(fd);
-    fd = -1;
   }
-  for (PartyId id = 0; id < n; ++id) {
+  for (PartyId id = 0; id < config_.n; ++id) {
     if (listen_fds_[id] < 0) continue;
     ::close(listen_fds_[id]);
-    if (config_.uds) ::unlink(endpoints_[id].c_str());
+    if (uds_) ::unlink(endpoints_[id].c_str());
   }
-  listen_fds_.clear();
-  if (!auto_tmpdir_.empty()) {
-    ::rmdir(auto_tmpdir_.c_str());
-    auto_tmpdir_.clear();
-  }
+  if (!auto_tmpdir_.empty()) ::rmdir(auto_tmpdir_.c_str());
+}
 
-  // --------------------------------------------------------------- stats
-  SocketNetStats stats;
-  pipeline_.export_stats(stats);  // after join: relaxed counters are settled
-  stats.timed_out = timed_out;
-  stats.monitor_aborted = monitor_aborted;
-  stats.wall_ms =
-      std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() - epoch_)
-          .count();
+void SocketNetwork::add_stats(net::BackendStats& stats) const {
   stats.frames_auth_dropped = auth_dropped_.load(std::memory_order_relaxed);
   stats.frames_decode_dropped = decode_dropped_.load(std::memory_order_relaxed);
   stats.health = snapshot_health();
-  stats.progress.resize(n);
-  for (PartyId id = 0; id < n; ++id) {
-    auto& p = stats.progress[id];
-    p.finished = is_local(id) ? done[id].load()
-                              : fin_received_[id].load(std::memory_order_acquire);
-    p.events = handled[id].load();
-    p.last_progress = last_progress[id].load();
-    p.crash_stopped =
-        injector_ != nullptr && injector_->plan().crash_stop_at(id).has_value();
+}
+
+void SocketNetwork::add_heartbeat(obs::StatsSnapshot& snapshot) {
+  snapshot.auth_dropped = auth_dropped_.load(std::memory_order_relaxed);
+  snapshot.decode_dropped = decode_dropped_.load(std::memory_order_relaxed);
+  for (PartyId id = 0; id < config_.n; ++id) {
+    if (is_local(id)) snapshot.egress_depth += out_queues_[id]->size();
   }
-  if (timed_out) {
-    // Same who-stalled-and-why format as the thread transport, so timeout
-    // triage reads identically across backends; remote parties that never
-    // announced FIN get their own phrasing (their host reports the detail).
-    std::ostringstream detail;
-    const char* sep = "";
-    for (PartyId id = 0; id < n; ++id) {
-      const auto& p = stats.progress[id];
-      if (crash_excused(id)) continue;
-      if (is_local(id)) {
-        if (p.finished) continue;
-        detail << sep << "party " << id << ": unfinished after " << p.events
-               << " events, last progress at tick " << p.last_progress;
-      } else {
-        if (p.finished) continue;
-        detail << sep << "party " << id << ": remote, no FIN received";
-      }
-      sep = "; ";
-    }
-    stats.timeout_detail = detail.str();
-    HYDRA_LOG_ERROR("socket_net: timeout — %s", stats.timeout_detail.c_str());
+}
+
+void register_socket_backends() {
+  for (const bool uds : {false, true}) {
+    net::register_backend(
+        uds ? "uds" : "tcp",
+        [uds](const net::BackendConfig& config,
+              std::unique_ptr<sim::DelayModel> delay_model)
+            -> std::unique_ptr<net::Backend> {
+          return std::make_unique<SocketNetwork>(config, uds, std::move(delay_model));
+        });
   }
-  return stats;
 }
 
 }  // namespace hydra::transport

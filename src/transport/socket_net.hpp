@@ -10,68 +10,40 @@
 // subset (`hydra serve`/`hydra join`: one party per process, peers named by
 // endpoint).
 //
-// Seam contract (docs/ARCHITECTURE.md): all egress policy — accounting,
-// fault outcomes, ids, trace/monitor emission — lives in the shared
-// net::EgressPipeline, applied at SOCKET EGRESS before the frame is queued
-// for its link, so drop/dup/reorder/partition fault plans behave identically
-// to sim/threads. Delivery dispatch goes through net::DeliveryGate on the
-// party's worker thread. Per-party watchdog semantics (PartyProgress,
-// timeout_detail, crash-windowed excusal) match the thread transport.
+// SocketNetwork is the wall-clock party runtime (thread_net.hpp) plus what
+// crosses the OS: the runtime keeps the clock, the workers, the send step
+// (all egress policy in net::EgressPipeline, applied at SOCKET EGRESS before
+// the frame is queued for its link, so drop/dup/reorder/partition fault
+// plans behave identically to sim/threads), the watchdog and the
+// progress/timeout report; this class adds listeners, connects with HELLO,
+// the coalescing writers, the authenticated readers and the FIN handshake
+// through the runtime's hooks.
 //
-// Threading: per local party, one worker (protocol handlers + timers, the
-// same loop discipline as ThreadNetwork) and one writer (pops the party's
-// deadline-ordered egress queue and writes due frames to the destination
-// link); per local listener, one acceptor; per inbound connection, one
-// reader bound at handshake to the peer's claimed PartyId. Frames whose
-// header `from` disagrees with the bound id are dropped and counted
-// (authenticated-sender enforcement).
+// Threading: per local party, one worker (the runtime's) and one writer
+// (pops the party's deadline-ordered egress queue and writes due frames to
+// the destination link); per local listener, one acceptor; per inbound
+// connection, one reader bound at handshake to the peer's claimed PartyId.
+// Frames whose header `from` disagrees with the bound id are dropped and
+// counted (authenticated-sender enforcement).
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "common/types.hpp"
-#include "net/egress.hpp"
+#include "net/backend.hpp"
 #include "net/wire_stats.hpp"
 #include "sim/delay.hpp"
-#include "sim/env.hpp"
-#include "sim/message.hpp"
 #include "transport/mailbox.hpp"
-
-namespace hydra::faults {
-class FaultInjector;
-}
+#include "transport/thread_net.hpp"
 
 namespace hydra::transport {
-
-struct SocketNetConfig {
-  std::size_t n = 4;
-  Duration delta = 1000;       ///< Delta in ticks (same unit as protocol Params)
-  double us_per_tick = 1.0;    ///< wall-clock microseconds per tick
-  std::uint64_t seed = 1;      ///< seeds delay RNG; derives the handshake run id
-  std::int64_t timeout_ms = 30'000;  ///< wall-clock run cap
-  bool uds = false;            ///< AF_UNIX instead of TCP over loopback
-  /// One address per party: "host:port" (tcp, numeric IPv4) or a socket
-  /// path (uds). Empty => self-assigned (ephemeral loopback ports / a fresh
-  /// tmpdir), which requires all parties local.
-  std::vector<std::string> endpoints;
-  /// Parties hosted by THIS process. Empty => all of them.
-  std::vector<PartyId> local;
-  /// Multi-instance serving bound: inbound MSG frames whose tag carries an
-  /// instance id >= this value (common/types.hpp tag layout) are rejected on
-  /// the hardened decode path and counted in frames_decode_dropped. 0 =
-  /// single-instance mode, no instance validation.
-  std::uint32_t instance_tag_limit = 0;
-};
 
 /// Validates a uds endpoint path at PARSE time, before any socket call:
 /// returns "" when usable, else an actionable error naming the limit
@@ -79,60 +51,42 @@ struct SocketNetConfig {
 /// surface as an inscrutable bind/connect failure deep inside the run.
 [[nodiscard]] std::string validate_uds_endpoint(const std::string& endpoint);
 
-/// Wire accounting in the shared net::WireStats base (filled through the
-/// same net::EgressPipeline as sim/threads; in multi-process mode it covers
-/// the LOCAL parties' sends — each process accounts for its own).
-struct SocketNetStats : net::WireStats {
-  bool timed_out = false;
-  std::int64_t wall_ms = 0;
-  bool monitor_aborted = false;
-  /// One entry per party (index = PartyId); remote parties report only the
-  /// fin/crash flags this process can observe.
-  std::vector<net::PartyProgress> progress;
-  /// Empty unless timed_out: same who-stalled-and-why format as the thread
-  /// transport (local parties only — remote stalls are their host's report).
-  std::string timeout_detail;
-  /// Hardened ingress counters (socket_wire.hpp): authenticated-sender
-  /// rejections and malformed-frame drops. Zero on every healthy run.
-  std::uint64_t frames_auth_dropped = 0;
-  std::uint64_t frames_decode_dropped = 0;
-  /// Connection/frame/queue health counters and latency histograms
-  /// (net/wire_stats.hpp), covering this process's links only.
-  net::TransportHealth health;
-};
-
-class SocketNetwork {
+class SocketNetwork final : public ThreadNetwork {
  public:
-  SocketNetwork(SocketNetConfig config, std::unique_ptr<sim::DelayModel> delay_model);
-  ~SocketNetwork();
-
-  SocketNetwork(const SocketNetwork&) = delete;
-  SocketNetwork& operator=(const SocketNetwork&) = delete;
-
-  /// Runs the LOCAL parties until each satisfies `finished` (and, in
-  /// multi-process mode, every remote party announced FIN) or the timeout
-  /// elapses. `parties` must have size n; non-local slots are never started.
-  /// Parties are borrowed, inspectable after run() returns (threads joined).
-  SocketNetStats run(std::vector<std::unique_ptr<sim::IParty>>& parties,
-                     const std::function<bool(const sim::IParty&, PartyId)>& finished);
-
-  /// Installs a fault injector consulted at socket egress for every message.
-  /// Borrowed: must outlive run(). Crash-windowed parties are excused by the
-  /// watchdog exactly as on the thread transport.
-  void set_fault_injector(faults::FaultInjector* injector) noexcept {
-    injector_ = injector;
-  }
+  /// `uds` selects AF_UNIX instead of TCP over loopback. Beyond the
+  /// runtime's fields, uses `config.endpoints` (one address per party:
+  /// "host:port" with a numeric IPv4 host, or a socket path; empty =>
+  /// self-assigned, which requires all parties local), `local_parties`
+  /// (empty => all) and `instance_tag_limit`. In multi-process mode the
+  /// wire totals cover the LOCAL parties' sends — each process accounts for
+  /// its own — and remote parties report only the FIN/crash flags this
+  /// process can observe.
+  SocketNetwork(net::BackendConfig config, bool uds,
+                std::unique_ptr<sim::DelayModel> delay_model);
 
  private:
-  class SocketEnv;
-  friend class SocketEnv;
+  void open() override;
+  void start_io() override;
+  void enqueue(PartyId to, Mailbox::Item item) override;
+  /// Multi-process shutdown handshake: announces each newly finished local
+  /// party to every remote party with a FIN frame.
+  void on_poll() override;
+  void stop_io() override;
+  void join_io() override;
+  void add_stats(net::BackendStats& stats) const override;
+  void add_heartbeat(obs::StatsSnapshot& snapshot) override;
 
-  void post(PartyId from, PartyId to, sim::Message msg);
+  void accept_loop(PartyId local_to);
+  /// HELLO handshake under a receive timeout, then reader_loop.
+  void serve_connection(int fd, PartyId local_to);
   void reader_loop(int fd, PartyId bound_from, PartyId local_to);
   void writer_loop(PartyId from);
+  /// Counts one malformed frame or rejected handshake and shuts the
+  /// connection down at once, so the peer reads EOF (docs/DEPLOYMENT.md).
+  void poison(int fd);
   /// write_frame with health accounting: frame-size + flush-latency
   /// histograms and the frames_sent counter. Every frame this process emits
-  /// (HELLO/MSG/FIN) goes through here.
+  /// outside the writer's coalesced flushes (HELLO/FIN) goes through here.
   bool send_frame(int fd, std::mutex& mutex, const Bytes& body);
   /// Coalesced-flush variant: writes an already length-prefixed buffer of
   /// `frames` frames as ONE kernel send, with the same flush-latency
@@ -141,24 +95,14 @@ class SocketNetwork {
   bool flush_link(int fd, std::mutex& mutex, const Bytes& buffer,
                   std::uint32_t frames);
   [[nodiscard]] net::TransportHealth snapshot_health() const;
-  [[nodiscard]] Time now_ticks() const;
-  [[nodiscard]] std::chrono::steady_clock::time_point tick_deadline(Time at) const;
-  [[nodiscard]] bool is_local(PartyId id) const { return local_mask_[id]; }
 
-  SocketNetConfig config_;
-  std::unique_ptr<sim::DelayModel> delay_model_;
-  faults::FaultInjector* injector_ = nullptr;
-  std::mutex delay_mutex_;
-  Rng delay_rng_;
-
-  std::vector<bool> local_mask_;
+  const bool uds_;
+  bool all_local_ = true;
   std::vector<std::string> endpoints_;
   std::string auto_tmpdir_;  ///< self-assigned uds dir, cleaned up at exit
 
-  /// Inbound delivery queues (local parties only; same Mailbox as the thread
-  /// transport). Tie-breaks come from one arrival counter shared by socket
-  /// ingress and self-posts.
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
+  /// Tie-breaks for mailbox and egress-queue items: one arrival counter
+  /// shared by socket ingress and every post.
   std::atomic<std::uint64_t> arrival_seq_{0};
 
   /// Per local party, the deadline-ordered egress queue its writer drains.
@@ -173,14 +117,10 @@ class SocketNetwork {
   std::vector<int> out_fds_;
   std::vector<std::unique_ptr<std::mutex>> link_mutexes_;
   std::vector<int> listen_fds_;
-  std::mutex conn_mutex_;  ///< guards conn_fds_ and conn_threads_
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
 
-  std::vector<std::atomic<bool>> fin_received_;
+  std::vector<bool> fin_sent_;  ///< watchdog thread only
   std::atomic<std::uint64_t> auth_dropped_{0};
   std::atomic<std::uint64_t> decode_dropped_{0};
-  std::atomic<bool> stop_{false};
 
   /// Concurrent accumulation side of net::TransportHealth — every counter a
   /// relaxed atomic (writer threads, acceptors, readers and the watchdog all
@@ -208,8 +148,18 @@ class SocketNetwork {
   };
   HealthAtomics health_;
 
-  std::chrono::steady_clock::time_point epoch_;
-  net::ConcurrentEgressPipeline pipeline_;
+  // The I/O threads, declared after everything they use; join_io() joins
+  // them all before run() returns.
+  std::vector<std::thread> acceptors_;
+  std::vector<std::thread> writers_;
+  std::mutex conn_mutex_;  ///< guards conn_fds_ and conn_threads_
+  std::vector<int> conn_fds_;
+  std::vector<std::thread> conn_threads_;
 };
+
+/// Registers SocketNetwork as net backends "tcp" and "uds" (one code path;
+/// the name selects the address family). Idempotent, called from
+/// harness::ensure_backends_registered() like register_thread_backend().
+void register_socket_backends();
 
 }  // namespace hydra::transport

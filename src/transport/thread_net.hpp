@@ -1,4 +1,4 @@
-// Real-thread in-process transport.
+// The wall-clock party runtime, and the "threads" backend built on it.
 //
 // Runs the same IParty protocol objects as the discrete-event simulator,
 // but on one OS thread per party with real wall-clock time: mailboxes are
@@ -8,6 +8,14 @@
 // artificial network latency, so synchronous and asynchronous conditions
 // can be reproduced under genuine concurrency.
 //
+// ThreadNetwork is the one runtime both wall-clock backends share: the tick
+// clock, the per-party Env and timer heap, the send step (delay model, then
+// net::EgressPipeline), the mailboxes, the worker loop, the completion
+// watchdog (crash-window excusal, strict-monitor abort), the live-stats
+// provider and the progress/timeout report. Used as is, it is the
+// "threads" backend; the socket transport (socket_net.hpp) derives from it
+// and overrides the protected hooks below for what crosses the OS.
+//
 // Threading contract: a party's handlers run exclusively on its own thread;
 // cross-thread interaction is only mailbox push/pop. Party state may be
 // inspected from the outside ONLY after run() returned (threads joined).
@@ -16,96 +24,104 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "net/backend.hpp"
 #include "net/egress.hpp"
-#include "net/wire_stats.hpp"
 #include "sim/delay.hpp"
 #include "sim/env.hpp"
 #include "sim/message.hpp"
 #include "transport/mailbox.hpp"
 
-namespace hydra::faults {
-class FaultInjector;
+namespace hydra::obs {
+struct StatsSnapshot;
 }
 
 namespace hydra::transport {
 
-struct ThreadNetConfig {
-  std::size_t n = 4;
-  Duration delta = 1000;       ///< Delta in ticks (same unit as protocol Params)
-  double us_per_tick = 1.0;    ///< wall-clock microseconds per tick
-  std::uint64_t seed = 1;      ///< seeds the per-sender delay RNGs
-  std::int64_t timeout_ms = 30'000;  ///< wall-clock run cap
-};
-
-/// Per-party progress snapshot, filled in by the watchdog after the run.
-/// The definition lives in net/wire_stats.hpp so backend-neutral code
-/// (harness, sweep summaries, hydra report) can consume it.
-using PartyProgress = net::PartyProgress;
-
-/// Wire accounting (messages/bytes/per-party) lives in the shared
-/// net::WireStats base, filled through the same net::EgressPipeline the
-/// simulator uses (self-posts excluded, identical semantics). Per-round
-/// vectors stay empty: wall-clock round boundaries are not comparable
-/// across nondeterministic schedules.
-struct ThreadNetStats : net::WireStats {
-  bool timed_out = false;
-  std::int64_t wall_ms = 0;
-  /// Stopped early because a strict-mode invariant monitor requested it
-  /// (obs/monitor.hpp); polled by the completion watchdog.
-  bool monitor_aborted = false;
-  /// One entry per party (index = PartyId).
-  std::vector<PartyProgress> progress;
-  /// Empty unless timed_out: names each stalled party with its event count
-  /// and last-progress tick, so a timeout says WHO stalled and why.
-  std::string timeout_detail;
-};
-
-class ThreadNetwork {
+class ThreadNetwork : public net::Backend {
  public:
-  /// `delay_model` is shared by all senders and called under a lock.
-  ThreadNetwork(ThreadNetConfig config, std::unique_ptr<sim::DelayModel> delay_model);
-  ~ThreadNetwork();
+  /// Uses the wall-clock fields of `config` (n, delta, seed, us_per_tick,
+  /// timeout_ms). `delay_model` is shared by all senders and called under a
+  /// lock.
+  ThreadNetwork(net::BackendConfig config, std::unique_ptr<sim::DelayModel> delay_model);
+  ~ThreadNetwork() override;
 
   ThreadNetwork(const ThreadNetwork&) = delete;
   ThreadNetwork& operator=(const ThreadNetwork&) = delete;
 
-  /// Runs the parties until `finished(party, id)` is true for every party or
-  /// the timeout elapses. `finished` is evaluated on each party's own thread
+  /// Runs the local parties until `finished(party, id)` is true for every
+  /// party (a remote one counts once its host reports it done) or the
+  /// timeout elapses. `finished` is evaluated on each party's own thread
   /// after every handled event (so it may touch party state safely).
   /// The parties are borrowed: the caller keeps ownership and may inspect
   /// them after run() returns (all threads are joined by then).
-  ThreadNetStats run(std::vector<std::unique_ptr<sim::IParty>>& parties,
-                     const std::function<bool(const sim::IParty&, PartyId)>& finished);
+  net::BackendStats run(std::vector<std::unique_ptr<sim::IParty>>& parties,
+                        const FinishedFn& finished) final;
 
   /// Installs a fault injector (src/faults/) consulted on every post().
-  /// Borrowed: must outlive run(). Parties crash-stopped forever by the plan
-  /// are treated as satisfied by the completion watchdog — they can never
+  /// Borrowed: must outlive run(). Parties whose crash window has opened
+  /// are treated as satisfied by the completion watchdog — they may never
   /// finish, and that is not a timeout.
-  void set_fault_injector(faults::FaultInjector* injector) noexcept {
+  void set_fault_injector(faults::FaultInjector* injector) final {
     injector_ = injector;
   }
+
+ protected:
+  // Hooks for a transport whose messages cross the OS. run() calls them in
+  // this order: open, start_io, then concurrently enqueue (sender threads),
+  // on_poll (watchdog) and add_heartbeat (stats sampler), then stop_io,
+  // join_io, add_stats.
+
+  /// Before the clock starts: bind, connect, handshake.
+  virtual void open() {}
+  /// After the clock starts, before the workers: start the I/O threads.
+  virtual void start_io() {}
+  /// Queues one surviving copy of a message `item.from` posted to `to`.
+  /// Default: the recipient's mailbox, tie-broken by the pipeline sequence.
+  virtual void enqueue(PartyId to, Mailbox::Item item);
+  /// Once per watchdog poll, before it counts finished parties.
+  virtual void on_poll() {}
+  /// Shutdown: stop_ is set and the mailboxes are closed; wake every I/O
+  /// thread. The workers are joined next, then join_io() runs.
+  virtual void stop_io() {}
+  virtual void join_io() {}
+  /// Transport counters for the run result and the live heartbeats.
+  virtual void add_stats(net::BackendStats&) const {}
+  virtual void add_heartbeat(obs::StatsSnapshot&) {}
+
+  [[nodiscard]] Time now_ticks() const;
+  [[nodiscard]] std::chrono::steady_clock::time_point tick_deadline(Time at) const;
+  [[nodiscard]] bool is_local(PartyId id) const { return local_[id]; }
+  [[nodiscard]] bool done(PartyId id) const {
+    return done_[id].load(std::memory_order_acquire);
+  }
+  /// A remote party's host reported it finished.
+  void mark_done(PartyId id) { done_[id].store(true, std::memory_order_release); }
+
+  const net::BackendConfig config_;
+  /// Parties hosted by this process, which get a worker: all of them unless
+  /// a derived transport narrows the set.
+  std::vector<bool> local_;
+  /// Inbound delivery queues, one per party.
+  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
+  std::atomic<bool> stop_{false};
 
  private:
   class ThreadEnv;
   friend class ThreadEnv;
 
   void post(PartyId from, PartyId to, sim::Message msg);
+  [[nodiscard]] bool crash_excused(PartyId id) const;
 
-  ThreadNetConfig config_;
   std::unique_ptr<sim::DelayModel> delay_model_;
   faults::FaultInjector* injector_ = nullptr;
   std::mutex delay_mutex_;
   Rng delay_rng_;
-
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::chrono::steady_clock::time_point epoch_;
 
   /// The shared send-side path (relaxed atomic counters — post() runs
@@ -116,8 +132,18 @@ class ThreadNetwork {
   /// between concurrently running networks and break run isolation.
   net::ConcurrentEgressPipeline pipeline_;
 
-  [[nodiscard]] Time now_ticks() const;
-  [[nodiscard]] std::chrono::steady_clock::time_point tick_deadline(Time at) const;
+  /// Per-party watchdog state: the completion loop reads these to decide
+  /// who is satisfied, the stats provider samples them live, and a timeout
+  /// turns them into a who-stalled-and-why report instead of a bare flag.
+  std::vector<std::atomic<bool>> done_;
+  std::vector<std::atomic<std::uint64_t>> handled_;
+  std::vector<std::atomic<Time>> last_progress_;
 };
+
+/// Registers ThreadNetwork as net backend "threads". Idempotent
+/// (re-registering replaces the factory); called from
+/// harness::ensure_backends_registered() — explicit rather than a static
+/// initializer, which the linker would drop from a static library.
+void register_thread_backend();
 
 }  // namespace hydra::transport

@@ -366,7 +366,7 @@ TEST(ThreadNetFaults, CrashStoppedPartyDoesNotTriggerTheWatchdog) {
       *plan, {.seed = 9, .synchronous = true, .delta = p.delta});
 
   transport::ThreadNetwork net(
-      {.n = 5, .delta = p.delta, .us_per_tick = 20.0, .seed = 9,
+      {.n = 5, .delta = p.delta, .seed = 9, .us_per_tick = 20.0,
        .timeout_ms = 60'000},
       std::make_unique<sim::UniformDelay>(1, p.delta / 4));
   net.set_fault_injector(&injector);

@@ -367,4 +367,35 @@ TEST(Stats, HeartbeatsRoundTripThroughFlatjson) {
   std::remove(path0.c_str());
 }
 
+// The wall-clock party runtime owns the heartbeat provider on every
+// wall-clock backend, so a threads run's final heartbeat carries live state:
+// one row per party, every party decided, and the wire totals the run sent.
+TEST(Stats, ThreadsFinalHeartbeatCoversEveryParty) {
+  const std::string path = temp_path("stats_threads.jsonl");
+  auto spec = small_spec(5);
+  spec.adversary = harness::Adversary::kNone;
+  spec.corruptions = 0;
+  spec.backend = "threads";
+  spec.stats_out = path;
+  spec.stats_interval_ms = 5;
+  const auto result = harness::execute(spec);
+  ASSERT_FALSE(result.timed_out) << result.timeout_detail;
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.is_open());
+  std::string line;
+  std::string last;
+  while (std::getline(in, line)) last = line;
+  const auto kv = obs::flatjson::parse_object_arrays(last);
+  ASSERT_FALSE(kv.empty()) << last;
+  EXPECT_EQ(obs::flatjson::num(kv, "final"), 1) << last;
+  EXPECT_EQ(obs::flatjson::num(kv, "decided"),
+            static_cast<std::int64_t>(spec.params.n)) << last;
+  EXPECT_GT(obs::flatjson::num(kv, "messages"), 0) << last;
+  // parties:[[id,finished,events,round],...], one row per party.
+  const auto rows = obs::flatjson::parse_reals(obs::flatjson::str(kv, "parties"));
+  EXPECT_EQ(rows.size(), 4 * spec.params.n) << last;
+  std::remove(path.c_str());
+}
+
 }  // namespace

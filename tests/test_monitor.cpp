@@ -325,12 +325,19 @@ TEST(MonitorIntegration, FaultyAggregationTripsValidityAndContraction) {
   EXPECT_GT(contraction, 0u);
 }
 
+// The abort path is the completion watchdog's on the wall-clock backends
+// and the drain loop's on the simulator; every one must stop the run early
+// rather than wait out the timeout.
 TEST(MonitorIntegration, FaultyAggregationUnderStrictModeAbortsTheRun) {
-  auto spec = monitored_spec(harness::Protocol::kHybrid, 17);
-  spec.params.test_faulty_escape = 50.0;
-  const auto result = harness::execute(spec);
-  EXPECT_GT(result.monitor_violations, 0u);
-  EXPECT_TRUE(result.monitor_aborted);
+  for (const std::string backend : {"sim", "threads", "uds"}) {
+    auto spec = monitored_spec(harness::Protocol::kHybrid, 17);
+    spec.params.test_faulty_escape = 50.0;
+    spec.backend = backend;
+    const auto result = harness::execute(spec);
+    EXPECT_GT(result.monitor_violations, 0u) << backend;
+    EXPECT_TRUE(result.monitor_aborted) << backend;
+    EXPECT_FALSE(result.timed_out) << backend;
+  }
 }
 
 TEST(MonitorIntegration, MetricsJsonCarriesTheMonitorBlock) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -29,7 +30,6 @@
 namespace hydra {
 namespace {
 
-using transport::SocketNetConfig;
 using transport::SocketNetwork;
 namespace wire = transport::wire;
 
@@ -273,15 +273,14 @@ TEST(SocketAuth, ForgedSenderDroppedCountedAndDeliveryContinues) {
   const std::string p0 = std::string(dir) + "/p0.sock";
   const std::string p1 = std::string(dir) + "/p1.sock";
 
-  SocketNetConfig config;
+  net::BackendConfig config;
   config.n = 2;
   config.delta = 100;
   config.us_per_tick = 1.0;
   config.seed = 7;
   config.timeout_ms = 20'000;
-  config.uds = true;
   config.endpoints = {p0, p1};
-  SocketNetwork net(config, std::make_unique<sim::FixedDelay>(100));
+  SocketNetwork net(config, /*uds=*/true, std::make_unique<sim::FixedDelay>(100));
 
   std::vector<std::unique_ptr<sim::IParty>> parties;
   auto* w0 = new WaitParty();
@@ -305,12 +304,19 @@ TEST(SocketAuth, ForgedSenderDroppedCountedAndDeliveryContinues) {
     // Honest frame behind the forgery still delivers.
     ASSERT_TRUE(send_all(a, with_length_prefix(wire::encode_msg(1, 0, 2, msg))));
 
-    // Connection B -> party 1: garbage body poisons the connection.
+    // Connection B -> party 1: garbage body poisons the connection. The
+    // server shuts a poisoned connection down as soon as it counted the
+    // drop, so EOF on B orders the count before C's finisher can end the run.
     const int b = connect_uds_path(p1);
     ASSERT_GE(b, 0);
     ASSERT_TRUE(send_all(b, with_length_prefix(wire::encode_hello(
                                 {.run_id = config.seed, .from = 0, .n = 2}))));
     ASSERT_TRUE(send_all(b, with_length_prefix(Bytes{0x7F, 1, 2, 3})));
+    timeval tv{};
+    tv.tv_sec = 10;  // fail instead of hanging if the server never shuts B down
+    ::setsockopt(b, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+    std::uint8_t byte = 0;
+    EXPECT_EQ(::recv(b, &byte, 1, 0), 0) << "poisoned connection not shut down";
     ::close(b);
 
     // Connection C -> party 1: clean, delivers the finisher.

@@ -354,7 +354,7 @@ TEST(ConcurrentNetworks, IndependentInstancesReachAgreement) {
   };
 
   struct Outcome {
-    transport::ThreadNetStats stats;
+    net::BackendStats stats;
     double diameter = 1e9;
   };
   std::vector<Outcome> outcomes(2);
@@ -362,7 +362,7 @@ TEST(ConcurrentNetworks, IndependentInstancesReachAgreement) {
   for (std::size_t k = 0; k < 2; ++k) {
     drivers.emplace_back([&, k] {
       transport::ThreadNetwork net(
-          {.n = params.n, .delta = params.delta, .us_per_tick = 20.0, .seed = k + 1},
+          {.n = params.n, .delta = params.delta, .seed = k + 1, .us_per_tick = 20.0},
           std::make_unique<sim::UniformDelay>(1, params.delta / 4));
       std::vector<std::unique_ptr<sim::IParty>> parties;
       std::vector<AaParty*> raw;
@@ -383,7 +383,7 @@ TEST(ConcurrentNetworks, IndependentInstancesReachAgreement) {
 
   for (std::size_t k = 0; k < 2; ++k) {
     EXPECT_FALSE(outcomes[k].stats.timed_out) << k;
-    EXPECT_GT(outcomes[k].stats.messages, 0u) << k;
+    EXPECT_GT(outcomes[k].stats.wire.messages, 0u) << k;
     EXPECT_LE(outcomes[k].diameter, params.eps + 1e-9) << k;
   }
 }

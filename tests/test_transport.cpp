@@ -49,7 +49,7 @@ TEST(ThreadTransport, AllHonestReachAgreement) {
   const auto params = make_params(4, 1, 0, 2);
   const auto inputs = inputs_for(4, 2);
 
-  ThreadNetwork net({.n = 4, .delta = params.delta, .us_per_tick = 20.0, .seed = 1},
+  ThreadNetwork net({.n = 4, .delta = params.delta, .seed = 1, .us_per_tick = 20.0},
                     std::make_unique<sim::UniformDelay>(1, params.delta / 4));
   std::vector<std::unique_ptr<sim::IParty>> parties;
   std::vector<AaParty*> raw;
@@ -68,7 +68,7 @@ TEST(ThreadTransport, AllHonestReachAgreement) {
     EXPECT_TRUE(geo::in_convex_hull(inputs, p->output(), 1e-4));
   }
   EXPECT_LE(geo::diameter(outputs), params.eps + 1e-9);
-  EXPECT_GT(stats.messages, 0u);
+  EXPECT_GT(stats.wire.messages, 0u);
 }
 
 TEST(ThreadTransport, HeavyJitterStillLive) {
@@ -78,8 +78,8 @@ TEST(ThreadTransport, HeavyJitterStillLive) {
 
   ThreadNetwork net({.n = 5,
                      .delta = params.delta,
-                     .us_per_tick = 10.0,
                      .seed = 3,
+                     .us_per_tick = 10.0,
                      .timeout_ms = 60'000},
                     std::make_unique<sim::ExponentialDelay>(
                         1.5 * static_cast<double>(params.delta), 6 * params.delta));
@@ -105,7 +105,7 @@ TEST(ThreadTransport, ThreeDimensionalRun) {
   const auto params = make_params(5, 1, 0, 3);
   const auto inputs = inputs_for(5, 3);
 
-  ThreadNetwork net({.n = 5, .delta = params.delta, .us_per_tick = 20.0, .seed = 5},
+  ThreadNetwork net({.n = 5, .delta = params.delta, .seed = 5, .us_per_tick = 20.0},
                     std::make_unique<sim::UniformDelay>(1, params.delta / 4));
   std::vector<std::unique_ptr<sim::IParty>> parties;
   std::vector<AaParty*> raw;
@@ -139,8 +139,8 @@ TEST(ThreadTransport, TimeoutReportedWhenPartiesCannotFinish) {
 
   ThreadNetwork net({.n = 4,
                      .delta = params.delta,
-                     .us_per_tick = 5.0,
                      .seed = 7,
+                     .us_per_tick = 5.0,
                      .timeout_ms = 1'500},
                     std::make_unique<sim::UniformDelay>(1, params.delta / 4));
   std::vector<std::unique_ptr<sim::IParty>> parties;

@@ -13,8 +13,9 @@
 //                             report (markdown or single-file HTML); with
 //                             --merge, stitch per-process traces first
 //   hydra perf   [options]    measure the geometry kernels (ns/point) or
-//                             render --perf-json phase profiles (glob/comma
-//                             lists are merged into one attribution table)
+//                             read a bench JSON, and gate it against a
+//                             baseline; or render --perf-json phase profiles
+//                             (glob/comma lists merge into one table)
 //   hydra top    [options]    render the latest hydra-stats-v1 heartbeats of
 //                             a live (or finished) run's --stats-json file
 //   hydra list                print the accepted option values
@@ -117,13 +118,21 @@
 //   --json PATH           also write the measurements as hydra-bench-v1 JSON
 //   --baseline PATH       compare against a checked-in bench JSON (e.g.
 //                         bench/baselines/BENCH_geometry.json); prints the
-//                         delta table and exits 1 past --budget
+//                         delta table and exits 1 past --budget (a baseline
+//                         metric missing from the measurement also fails)
 //   --budget FRAC         relative regression budget (default 0.10)
-//   --input PATHS         instead: render --perf-json phase profiles as a
-//                         self/total attribution table. Accepts a glob
-//                         and/or comma list ('perf.p*.json'); multiple files
-//                         merge into one table (counts/totals summed, min of
-//                         mins, max of maxes, log2 buckets added)
+//   --inflate F           multiply the measured values by F first; CI
+//                         requires `--inflate 1.25` against the baseline
+//                         itself to exit 1 (the gate can fail)
+//   --input PATHS         the document's schema selects the mode. One
+//                         hydra-bench-v1 file (any bench's --json) stands in
+//                         for the kernel measurement, so the options above
+//                         gate it without re-measuring. hydra-perf-v1 phase
+//                         profiles render as a self/total attribution table
+//                         instead; a glob and/or comma list
+//                         ('perf.p*.json') merges into one table
+//                         (counts/totals summed, min of mins, max of maxes,
+//                         log2 buckets added)
 //   --top K               show only the top K phases by self time
 //
 // hydra top options:
@@ -200,7 +209,7 @@ struct Options {
                "serve/join keys: party peers listen (docs/DEPLOYMENT.md)\n"
                "bench serve keys: instances interarrival linger json (+ run keys)\n"
                "report keys: trace merge merged-out metrics out format title\n"
-               "perf keys: json baseline budget input top\n"
+               "perf keys: json baseline budget inflate input top\n"
                "top keys: input\n"
                "run `hydra list` for accepted values.\n");
   std::exit(2);
@@ -910,14 +919,21 @@ void merge_phase_rows(std::map<std::string, harness::PhaseRow>& acc,
 int cmd_perf(int argc, char** argv) {
   const auto kv = parse_kv(argc, argv);
 
+  // The document's schema selects the mode: one hydra-bench-v1 --input file
+  // stands in for the kernel measurement below, so CI gates bench artifacts
+  // against their baselines without re-measuring.
+  const auto input = kv.find("input");
+  const auto paths =
+      input != kv.end() ? expand_inputs(input->second) : std::vector<std::string>{};
+  auto bench = paths.size() == 1 ? load_bench_json(paths[0]) : std::nullopt;
+
   // Phase-profile mode: render --perf-json documents. Several files (a glob
   // or comma list, e.g. every process of a distributed run or every seed of
   // a sweep) merge into one attribution table.
-  if (const auto it = kv.find("input"); it != kv.end()) {
-    const auto paths = expand_inputs(it->second);
+  if (input != kv.end() && !bench) {
     if (paths.empty()) {
       std::fprintf(stderr, "error: --input '%s' names no files\n",
-                   it->second.c_str());
+                   input->second.c_str());
       return 1;
     }
     std::map<std::string, harness::PhaseRow> acc;
@@ -944,16 +960,25 @@ int cmd_perf(int argc, char** argv) {
     return 0;
   }
 
-  // Kernel mode: measure the geometry kernels on fixed inputs.
-  const auto metrics = measure_geometry_kernels();
-  Table table({"kernel", "unit", "value", "repetitions"});
+  // Kernel mode: measure the geometry kernels on fixed inputs, unless a
+  // bench document stands in for the measurement.
+  const std::string bench_name = bench ? bench->bench : "geometry";
+  auto metrics = bench ? std::move(bench->metrics) : measure_geometry_kernels();
+  // --inflate F self-tests the gate: CI inflates a file against itself and
+  // requires exit 1, proving the gate can fail before trusting its passes.
+  if (const auto it = kv.find("inflate"); it != kv.end()) {
+    const double inflate = std::strtod(it->second.c_str(), nullptr);
+    for (auto& m : metrics) m.value *= inflate;
+    std::printf("(self-test: current values inflated by %.2fx)\n", inflate);
+  }
+  Table table({"metric", "unit", "value", "repetitions"});
   for (const auto& m : metrics) {
     table.row({m.name, m.unit, fmt(m.value), fmt(m.repetitions)});
   }
   table.print();
 
   if (const auto it = kv.find("json"); it != kv.end()) {
-    if (!write_bench_json(it->second, "geometry", metrics)) return 1;
+    if (!write_bench_json(it->second, bench_name, metrics)) return 1;
   }
   if (const auto it = kv.find("baseline"); it != kv.end()) {
     const auto baseline = load_bench_json(it->second);
