@@ -109,8 +109,7 @@ double time_one_baseline() {
 /// PingParty workload exercises the per-delivery hooks (on_send + the
 /// begin/end_dispatch bracket); there are no protocol values so the
 /// geometry checks stay idle, which matches the cost monitors add to every
-/// message of a real run. Uses a private registry so the global one stays
-/// untouched.
+/// message of a real run.
 double run_monitored() {
   obs::Registry registry;
   obs::MonitorHost monitors(obs::MonitorHost::Config{
@@ -150,7 +149,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  obs::set_enabled(false);  // the pass/fail claim is about the DISABLED path
+  // No context is installed, so obs is off: the pass/fail claim is about the
+  // DISABLED path.
+  HYDRA_ASSERT(!obs::enabled());
 
   // Warmup: fault in code, populate allocator caches for all loops.
   for (int i = 0; i < kSimsPerTrial; ++i) {

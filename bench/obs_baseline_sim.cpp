@@ -40,8 +40,10 @@ class BaselineSim::PartyEnv final : public sim::Env {
   PartyId id_;
 };
 
-BaselineSim::BaselineSim(sim::SimConfig config, std::unique_ptr<sim::DelayModel> delay_model)
-    : config_(config), delay_model_(std::move(delay_model)), rng_(config.seed) {
+BaselineSim::BaselineSim(net::BackendConfig config, std::unique_ptr<sim::DelayModel> delay_model)
+    : delay_model_(std::move(delay_model)),
+      rng_(config.seed),
+      config_(std::move(config)) {
   stats_sent_.assign(config_.n, 0);
 }
 

@@ -17,10 +17,10 @@
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "net/backend.hpp"
 #include "sim/delay.hpp"
 #include "sim/env.hpp"
 #include "sim/message.hpp"
-#include "sim/simulation.hpp"
 
 namespace hydra::benchobs {
 
@@ -29,7 +29,7 @@ namespace hydra::benchobs {
 /// the timing difference isolates the disabled-path instrumentation cost.
 class BaselineSim {
  public:
-  BaselineSim(sim::SimConfig config, std::unique_ptr<sim::DelayModel> delay_model);
+  BaselineSim(net::BackendConfig config, std::unique_ptr<sim::DelayModel> delay_model);
   ~BaselineSim();
 
   BaselineSim(const BaselineSim&) = delete;
@@ -62,7 +62,6 @@ class BaselineSim {
   void schedule_phase(Time at, Phase phase, std::function<void()> fn);
   void deliver(PartyId from, PartyId to, sim::Message msg);
 
-  sim::SimConfig config_;
   std::unique_ptr<sim::DelayModel> delay_model_;
   Rng rng_;
   std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
@@ -74,6 +73,7 @@ class BaselineSim {
   std::uint64_t bytes_ = 0;
   std::uint64_t events_ = 0;
   std::vector<std::uint64_t> stats_sent_;
+  net::BackendConfig config_;  ///< last, as in sim::Simulation
 };
 
 }  // namespace hydra::benchobs

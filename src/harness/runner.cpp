@@ -25,10 +25,9 @@
 #include "obs/stats.hpp"
 #include "obs/trace.hpp"
 #include "protocols/aa.hpp"
-#include "protocols/aa_iteration.hpp"
 #include "protocols/init.hpp"
 #include "sim/delay.hpp"
-#include "sim/sim_backend.hpp"
+#include "sim/simulation.hpp"
 #include "transport/socket_net.hpp"
 #include "transport/thread_net.hpp"
 
@@ -414,8 +413,7 @@ void write_perf_json(const RunSpec& spec, const obs::Profiler& profiler) {
 /// obs::Context — a private registry, the run's trace sink, and an isolated
 /// safe-area fallback counter — installed thread-locally for execute()'s
 /// duration. Concurrent runs (harness/sweep.hpp) therefore never share
-/// mutable observability state, and the process-wide Registry::global() /
-/// set_enabled() remain untouched for code outside the harness.
+/// mutable observability state.
 class ObsSession {
  public:
   ObsSession(const RunSpec& spec,
@@ -483,15 +481,8 @@ class ObsSession {
   std::optional<obs::ScopedContext> scoped_;
 };
 
-/// Assembles the MonitorHost configuration for a spec, or nullopt when
-/// monitors are off. Which monitors arm depends on the spec:
-///  - contraction only for the paper's midpoint rule on the hybrid stack
-///    (Lemma 5.10 proves sqrt(7/8) there; the centroid ablation and the
-///    lock-step baseline have no proven factor);
-///  - the complexity budget only under adversaries that follow the honest
-///    message schedule — a spammer or equivocator can open extra protocol
-///    instances that honest parties must echo, legitimately inflating
-///    honest counts beyond the structural bound.
+}  // namespace
+
 std::optional<obs::MonitorHost::Config> make_monitor_config(
     const RunSpec& spec, const Params& p, const std::vector<bool>& honest,
     std::vector<geo::Vec> honest_inputs) {
@@ -522,8 +513,6 @@ std::optional<obs::MonitorHost::Config> make_monitor_config(
   }
   return cfg;
 }
-
-}  // namespace
 
 std::unique_ptr<sim::DelayModel> make_network(const RunSpec& spec) {
   const Duration delta = spec.params.delta;
@@ -556,7 +545,7 @@ std::unique_ptr<sim::DelayModel> make_network(const RunSpec& spec) {
 }
 
 void ensure_backends_registered() {
-  // std::call_once rather than static-initializer registration: the adapter
+  // std::call_once rather than static-initializer registration: the backend
   // object files live in static libraries, where an unreferenced
   // self-registering global gets dropped by the linker.
   static std::once_flag once;

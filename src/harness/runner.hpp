@@ -213,6 +213,22 @@ struct RunResult {
 /// model network conditions identically to single runs.
 [[nodiscard]] std::unique_ptr<sim::DelayModel> make_network(const RunSpec& spec);
 
+/// Assembles the MonitorHost configuration for a spec with resolved params
+/// `p`, or nullopt when monitors are off. Which monitors arm depends on the
+/// spec:
+///  - contraction only for the paper's midpoint rule on the hybrid stack
+///    (Lemma 5.10 proves sqrt(7/8) there; the centroid ablation and the
+///    lock-step baseline have no proven factor);
+///  - the complexity budget only under adversaries that follow the honest
+///    message schedule — a spammer or equivocator can open extra protocol
+///    instances that honest parties must echo, legitimately inflating
+///    honest counts beyond the structural bound.
+/// Shared by execute() and the serving engine, which judges each instance
+/// like a single run.
+[[nodiscard]] std::optional<obs::MonitorHost::Config> make_monitor_config(
+    const RunSpec& spec, const protocols::Params& p, const std::vector<bool>& honest,
+    std::vector<geo::Vec> honest_inputs);
+
 /// Registers the builtin execution backends ("sim", "threads", "tcp",
 /// "uds") with the net::Backend registry. Idempotent and thread-safe;
 /// execute() calls it on every run, so only code talking to the registry

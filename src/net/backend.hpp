@@ -2,13 +2,14 @@
 //
 // A Backend runs a set of sim::IParty protocol objects under one network
 // model and returns backend-neutral statistics. The builtins registered
-// here: "sim" (sim::SimBackend, the deterministic discrete-event simulator),
+// here: "sim" (sim::Simulation, the deterministic discrete-event simulator),
 // "threads" (transport::ThreadNetwork, one OS thread per party under
 // wall-clock time), and "tcp"/"uds" (transport::SocketNetwork, the same
 // wall-clock runtime with parties exchanging length-prefixed frames over
-// real sockets, in-process or across process boundaries). harness::execute() selects one by name through a
-// single code path, so further backends are an additive change: implement
-// Backend, call register_backend() at startup.
+// real sockets, in-process or across process boundaries).
+// harness::execute() selects one by name through a single code path, so
+// further backends are an additive change: implement Backend, call
+// register_backend() at startup.
 //
 // Ownership contract: run() receives the parties by reference and MAY move
 // them into backend-internal storage (the simulator does; the thread
@@ -112,7 +113,7 @@ using BackendFactory = std::function<std::unique_ptr<Backend>(
 /// Registers (or replaces) a backend under `name`. Thread-safe. Builtin
 /// backends register via harness::ensure_backends_registered() — explicit
 /// registration, because static-initializer tricks get dropped by the linker
-/// when the adapter object files live in static libraries.
+/// when the backend object files live in static libraries.
 void register_backend(std::string name, BackendFactory factory);
 
 /// Builds a registered backend; nullptr for unknown names. Thread-safe.

@@ -1,15 +1,12 @@
 // Per-run observability context.
 //
-// Every piece of formerly process-global run state — the metrics registry,
-// the trace sink, the enabled flag, and the safe-area fallback counter —
-// can be bundled into a Context and installed *per thread* with
-// ScopedContext. Instrumentation sites read through the accessors below
-// (obs::enabled(), obs::registry(), obs::trace()), which resolve to the
-// installed context when one is present and to the legacy process-wide
-// state otherwise. That keeps single-run CLI/test code working unchanged
-// (Registry::global() remains the default shim) while letting the parallel
-// sweep engine (harness/sweep.hpp) execute many runs concurrently, each
-// with fully isolated state.
+// All run state — the metrics registry, the trace sink, the monitors, the
+// profiler, the enabled flag and the safe-area fallback counter — lives in a
+// Context installed *per thread* with ScopedContext. Instrumentation sites
+// read through the accessors below (obs::enabled(), obs::registry(),
+// obs::trace()); with no context installed observability is off. The
+// parallel sweep engine (harness/sweep.hpp) therefore executes many runs
+// concurrently, each with fully isolated state.
 //
 // Threading contract: a Context is installed on one thread at a time via
 // ScopedContext; code that fans work out to helper threads (e.g.
@@ -30,7 +27,7 @@ class Profiler;
 class StatsPublisher;
 
 struct Context {
-  Registry* registry = nullptr;     ///< per-run registry; nullptr = global
+  Registry* registry = nullptr;     ///< per-run registry; required if enabled
   TraceSink* trace_sink = nullptr;  ///< per-run trace sink; may be null
   MonitorHost* monitors = nullptr;  ///< per-run invariant monitors; may be null
   Profiler* profiler = nullptr;     ///< per-run phase profiler; may be null
@@ -47,36 +44,14 @@ struct Context {
 namespace detail {
 inline thread_local Context* t_context = nullptr;
 
-/// The *effective* enabled state for this thread — a cache of
-/// `t_context ? t_context->enabled : <process-wide flag>`, maintained by
-/// ScopedContext and set_enabled(). Folding both sources into one
-/// thread-local byte keeps obs::enabled() a single load; the disabled hot
-/// path is guarded by bench_obs_overhead (< 2% over uninstrumented).
+/// A cache of `t_context != nullptr && t_context->enabled`, maintained by
+/// ScopedContext, so obs::enabled() is a single load; the disabled hot path
+/// is guarded by bench_obs_overhead (< 2% over uninstrumented).
 inline thread_local bool t_enabled = false;
 
-/// Legacy process-wide enabled flag, used when no context is installed.
-inline std::atomic<bool>& enabled_ref() noexcept {
-  static std::atomic<bool> flag{false};
-  return flag;
-}
-
-/// Legacy process-wide fallback counter (no context installed).
-inline std::atomic<std::uint64_t>& global_fallbacks_ref() noexcept {
-  static std::atomic<std::uint64_t> count{0};
-  return count;
-}
-
-/// The profiler active on this thread — a cache of
-/// `t_context ? t_context->profiler : <process-wide slot>`, maintained by
-/// ScopedContext and set_profiler() exactly like t_enabled, so
-/// obs::prof_enabled() is one thread-local load (obs/prof.hpp).
+/// A cache of `t_context ? t_context->profiler : nullptr`, maintained like
+/// t_enabled, so obs::prof_enabled() is one thread-local load (obs/prof.hpp).
 inline thread_local Profiler* t_profiler = nullptr;
-
-/// Process-wide fallback profiler (no context installed).
-inline std::atomic<Profiler*>& global_profiler_ref() noexcept {
-  static std::atomic<Profiler*> prof{nullptr};
-  return prof;
-}
 }  // namespace detail
 
 /// The context installed on the current thread, or nullptr.
@@ -85,31 +60,18 @@ inline std::atomic<Profiler*>& global_profiler_ref() noexcept {
 }
 
 /// Master switch. All instrumentation sites branch on this flag; when false
-/// they execute nothing else. With a context installed this is the context's
-/// enabled bool; otherwise the process-wide flag.
+/// they execute nothing else. It is the installed context's enabled bool,
+/// false when no context is installed.
 [[nodiscard]] inline bool enabled() noexcept { return detail::t_enabled; }
 
-/// Sets the *process-wide* flag (contexts carry their own). Kept for
-/// single-run and ad-hoc use; the harness installs contexts instead. The
-/// change is visible immediately on the calling thread and on any thread
-/// that subsequently installs a ScopedContext (transport::ThreadNetwork
-/// workers do); it is not broadcast to other already-running threads.
-inline void set_enabled(bool on) noexcept {
-  detail::enabled_ref().store(on, std::memory_order_relaxed);
-  const Context* ctx = detail::t_context;
-  detail::t_enabled = ctx != nullptr ? ctx->enabled : on;
-}
-
-/// The invariant-monitor host for the current run, or nullptr. Monitors are
-/// strictly context-scoped — there is no process-wide fallback — so ad-hoc
-/// global-state code never pays for them.
+/// The invariant-monitor host for the current run, or nullptr.
 [[nodiscard]] inline MonitorHost* monitors() noexcept {
   const Context* ctx = detail::t_context;
   return ctx != nullptr ? ctx->monitors : nullptr;
 }
 
-/// The live-telemetry publisher for the current run, or nullptr. Strictly
-/// context-scoped, like monitors(); consulted once per run, never per event.
+/// The live-telemetry publisher for the current run, or nullptr. Consulted
+/// once per run, never per event.
 [[nodiscard]] inline StatsPublisher* stats() noexcept {
   const Context* ctx = detail::t_context;
   return ctx != nullptr ? ctx->stats : nullptr;
@@ -125,26 +87,9 @@ inline void set_enabled(bool on) noexcept {
 /// The profiler active on this thread, or nullptr.
 [[nodiscard]] inline Profiler* profiler() noexcept { return detail::t_profiler; }
 
-/// Installs the *process-wide* fallback profiler (contexts carry their own;
-/// the harness wires per-run profilers through Context::profiler). Refreshes
-/// this thread's cache immediately; other threads pick the change up when
-/// they next install a ScopedContext. Pass nullptr to uninstall.
-inline void set_profiler(Profiler* prof) noexcept {
-  detail::global_profiler_ref().store(prof, std::memory_order_relaxed);
-  const Context* ctx = detail::t_context;
-  detail::t_profiler = ctx != nullptr ? ctx->profiler : prof;
-}
-
-/// The run-scoped safe-area fallback counter: the installed context's slot,
-/// or the process-wide one.
-[[nodiscard]] inline std::atomic<std::uint64_t>& safe_area_fallback_slot() noexcept {
-  Context* ctx = detail::t_context;
-  return ctx != nullptr ? ctx->safe_area_fallbacks : detail::global_fallbacks_ref();
-}
-
-/// Installs `ctx` on this thread for the enclosing scope (nullptr =
-/// temporarily restore the legacy global state). Restores the previously
-/// installed context on destruction.
+/// Installs `ctx` on this thread for the enclosing scope (nullptr = no
+/// context, observability off). Restores the previously installed context on
+/// destruction.
 class ScopedContext {
  public:
   explicit ScopedContext(Context* ctx) noexcept
@@ -152,13 +97,8 @@ class ScopedContext {
         prev_enabled_(detail::t_enabled),
         prev_profiler_(detail::t_profiler) {
     detail::t_context = ctx;
-    detail::t_enabled = ctx != nullptr
-                            ? ctx->enabled
-                            : detail::enabled_ref().load(std::memory_order_relaxed);
-    detail::t_profiler =
-        ctx != nullptr
-            ? ctx->profiler
-            : detail::global_profiler_ref().load(std::memory_order_relaxed);
+    detail::t_enabled = ctx != nullptr && ctx->enabled;
+    detail::t_profiler = ctx != nullptr ? ctx->profiler : nullptr;
   }
   ~ScopedContext() {
     detail::t_context = prev_;

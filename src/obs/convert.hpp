@@ -1,7 +1,7 @@
 // JSONL trace -> Chrome about://tracing (Perfetto-compatible) converter.
 //
 // The conversion logic lives in the library so tests can exercise it
-// directly; tools/trace_convert.cpp is a thin CLI wrapper. Mapping:
+// directly; `hydra report --format chrome` is the command line. Mapping:
 //
 //   send / deliver  ->  instant events ("ph":"i") on the sender's / the
 //                       receiver's thread track;

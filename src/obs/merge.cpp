@@ -301,8 +301,8 @@ MergeResult merge_traces(const std::vector<std::string>& paths) {
     }
 
     MonitorHost host(std::move(cfg));
-    // Shield the replay from any ambient observability: a null-field context
-    // makes obs::trace()/registry() inside the hooks no-ops.
+    // Shield the replay from any ambient observability: a disabled context
+    // without a sink keeps the hooks from touching a registry or trace.
     Context quiet;
     const ScopedContext scope(&quiet);
     for (const Event* e : merged_order) {

@@ -106,9 +106,4 @@ std::string Registry::to_json() const {
   return w.take();
 }
 
-Registry& Registry::global() {
-  static Registry registry;
-  return registry;
-}
-
 }  // namespace hydra::obs

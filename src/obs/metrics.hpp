@@ -2,7 +2,7 @@
 //
 // Design goals, in order:
 //   1. Near-zero cost when observability is disabled. Every instrumentation
-//      site is guarded by `if (obs::enabled())` — a single relaxed atomic
+//      site is guarded by `if (obs::enabled())` — a single thread-local
 //      load and a predictable branch; nothing else executes
 //      (bench/bench_obs_overhead.cpp keeps this honest, < 2%).
 //   2. Thread safety when enabled. The thread transport runs one OS thread
@@ -26,7 +26,8 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/context.hpp"  // enabled()/set_enabled() and per-run contexts
+#include "common/assert.hpp"
+#include "obs/context.hpp"  // enabled() and per-run contexts
 
 namespace hydra::obs {
 
@@ -89,9 +90,8 @@ class Histogram {
 };
 
 /// Name -> instrument map. Instrumentation sites reach their registry via
-/// obs::registry(), which resolves to the current run's Context when one is
-/// installed and to the process-wide instance (global()) otherwise; tests
-/// may construct private registries.
+/// obs::registry(), which resolves to the current run's Context; tests may
+/// construct private registries.
 class Registry {
  public:
   /// Find-or-create. The reference is stable until reset().
@@ -108,8 +108,6 @@ class Registry {
   /// "counts":[...],"count":N,"sum":S,"min":m,"max":M}}}
   [[nodiscard]] std::string to_json() const;
 
-  [[nodiscard]] static Registry& global();
-
  private:
   mutable std::mutex mutex_;
   // std::map: deterministic iteration order makes to_json() stable, and node
@@ -119,12 +117,14 @@ class Registry {
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
-/// The registry instrumentation should write to: the current context's when
-/// one is installed on this thread, the process-wide one otherwise.
+/// The registry instrumentation should write to: the current context's.
+/// Callers sit behind obs::enabled(), so a context is installed, and an
+/// enabled context must carry a registry.
 [[nodiscard]] inline Registry& registry() {
   Context* ctx = current_context();
-  return ctx != nullptr && ctx->registry != nullptr ? *ctx->registry
-                                                    : Registry::global();
+  HYDRA_ASSERT_MSG(ctx != nullptr && ctx->registry != nullptr,
+                   "obs::registry() needs an installed context with a registry");
+  return *ctx->registry;
 }
 
 }  // namespace hydra::obs

@@ -36,8 +36,6 @@ std::string format(const char* fmt, ...) {
 
 }  // namespace
 
-thread_local std::uint64_t MonitorHost::current_cause_ = 0;
-
 std::string to_string(MonitorMode mode) {
   switch (mode) {
     case MonitorMode::kOff: return "off";

@@ -218,7 +218,7 @@ class MonitorHost {
   /// brackets on its single driver thread, while thread-transport workers
   /// bracket concurrently and must not cross-attribute causes. Hooks read it
   /// under mutex_ from the hook-calling (= bracketing) thread.
-  static thread_local std::uint64_t current_cause_;
+  static inline thread_local std::uint64_t current_cause_ = 0;
 
   // validity / contraction state
   std::map<std::uint32_t, std::vector<geo::Vec>> layers_;  ///< honest values per iteration

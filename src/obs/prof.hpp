@@ -2,8 +2,7 @@
 //
 // A Profiler rides in the run's obs::Context exactly like the metrics
 // registry: installed thread-locally (ScopedContext propagates it to
-// transport::ThreadNetwork workers along with the rest of the context), with
-// a process-wide fallback slot (set_profiler) for ad-hoc bench/test use.
+// transport::ThreadNetwork workers along with the rest of the context).
 // Instrumentation sites drop an RAII scope:
 //
 //   void ConvexPolygon2D::intersect(...) {
@@ -17,7 +16,7 @@
 //   - total_ns     wall time inside the scope, children included,
 //   - self_ns      total minus time spent in nested scopes (child-exclusive),
 //   - min/max and a compact log2-bucket latency histogram, from which the
-//     reporting layer (obs/perf_report.hpp, harness::Stats::summary())
+//     reporting layer (harness/perf.hpp, harness::Stats::summary())
 //     derives approximate percentiles.
 //
 // Cost model, in line with the rest of the observability layer

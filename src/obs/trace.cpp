@@ -9,16 +9,13 @@
 namespace hydra::obs {
 namespace {
 
-std::atomic<TraceSink*> g_trace{nullptr};
-
 // Crash-safe flush registry: fixed lock-free slot table so the signal
 // handler in `hydra serve`/`join` can flush without taking a lock.
 constexpr std::size_t kMaxFlushTargets = 16;
 std::atomic<std::FILE*> g_flush_targets[kMaxFlushTargets]{};
 
 // Resolves through trace() so log lines land in the emitting thread's
-// per-run sink when a context is installed, and in the global sink
-// otherwise.
+// per-run sink.
 void log_to_trace(LogLevel level, const char* msg) {
   if (TraceSink* sink = trace()) {
     sink->log(static_cast<int>(level), msg);
@@ -303,14 +300,9 @@ void TraceSink::flush() {
   if (file_ != nullptr) std::fflush(file_);
 }
 
-void set_trace(TraceSink* sink) noexcept {
-  g_trace.store(sink, std::memory_order_release);
-  set_log_sink(sink != nullptr ? &log_to_trace : nullptr);
-}
-
 TraceSink* trace() noexcept {
-  if (Context* ctx = current_context()) return ctx->trace_sink;
-  return g_trace.load(std::memory_order_acquire);
+  const Context* ctx = current_context();
+  return ctx != nullptr ? ctx->trace_sink : nullptr;
 }
 
 void install_log_hook() noexcept { set_log_sink(&log_to_trace); }

@@ -4,13 +4,14 @@
 // self-contained JSON object per line (schema in docs/OBSERVABILITY.md).
 // Events carry *virtual* time only — wall-clock never appears in a trace, so
 // two runs with the same seed produce byte-identical files (asserted by
-// tests/test_obs.cpp). tools/trace_convert turns a trace into the Chrome
-// about://tracing (Perfetto) format.
+// tests/test_obs.cpp). `hydra report --format chrome` turns a trace into the
+// Chrome about://tracing (Perfetto) format (obs/convert.hpp).
 //
-// A process-wide sink can be installed with set_trace(); instrumentation
+// The sink rides in the run's obs::Context (context.hpp); instrumentation
 // sites fetch it with trace() and must additionally be guarded by
-// obs::enabled() so the disabled path stays a single branch. Installing a
-// sink also routes HYDRA_LOG output into the trace (see common/log.hpp).
+// obs::enabled() so the disabled path stays a single branch.
+// install_log_hook() routes HYDRA_LOG output into the trace (see
+// common/log.hpp).
 //
 // Thread safety: emitters serialize on an internal mutex (the thread
 // transport writes from many party threads). Under the single-threaded
@@ -75,7 +76,7 @@ class TraceSink {
   void round_end(Time t, PartyId party, std::uint32_t iteration);
 
   /// A named numeric observation (estimates, diameters, ...). Rendered as a
-  /// Chrome counter track by trace_convert.
+  /// Chrome counter track by the Chrome export (obs/convert.hpp).
   void scalar(Time t, PartyId party, std::string_view name, double value);
 
   /// An invariant monitor detected a violation (obs/monitor.hpp). `cause` is
@@ -150,19 +151,12 @@ class TraceSink {
   bool write_failed_ = false;  ///< one-shot: first short write reports, rest drop
 };
 
-/// Installs (or, with nullptr, uninstalls) the process-wide sink and hooks
-/// the logger into it. The sink must outlive its installation. Per-run code
-/// should prefer an obs::Context (context.hpp) over this global.
-void set_trace(TraceSink* sink) noexcept;
-
 /// The sink the current thread should emit to: the installed obs::Context's
-/// sink when a context is present (possibly nullptr — contexts never fall
-/// through to the global sink), the process-wide sink otherwise.
+/// sink, or nullptr (no context, or a context without a sink).
 [[nodiscard]] TraceSink* trace() noexcept;
 
 /// Routes HYDRA_LOG lines into whatever sink trace() resolves to at emit
-/// time. Idempotent; set_trace() installs it automatically, per-run
-/// sessions with a context-held sink call it explicitly.
+/// time. Idempotent; per-run sessions with a sink call it.
 void install_log_hook() noexcept;
 
 // -- crash-safe sink registry ----------------------------------------------

@@ -11,22 +11,18 @@
 namespace hydra::protocols {
 namespace {
 
-// The fallback count lives in the run's obs::Context when one is installed
-// (parallel sweeps run many isolated counters at once) and in a process-wide
-// slot otherwise. The domain layer cannot see obs, so it reports fallbacks
-// in AggregateResult and this wrapper notes them.
+// The fallback count lives in the run's obs::Context (parallel sweeps run
+// many isolated counters at once); without a context it is not counted. The
+// domain layer cannot see obs, so it reports fallbacks in AggregateResult
+// and this wrapper notes them.
 void note_fallback() {
-  obs::safe_area_fallback_slot().fetch_add(1);
+  if (obs::Context* ctx = obs::current_context()) ctx->safe_area_fallbacks.fetch_add(1);
   if (obs::enabled()) {
     obs::registry().counter("aa.safe_area_fallbacks").inc();
   }
 }
 
 }  // namespace
-
-std::uint64_t safe_area_fallback_count() noexcept {
-  return obs::safe_area_fallback_slot().load();
-}
 
 geo::Vec compute_new_value(const Params& params, const PairList& m) {
   // Wall-clock timing of the geometry kernel lives in the phase profiler

@@ -28,9 +28,4 @@ namespace hydra::protocols {
 /// (Lemma 5.7) and is counted so experiments can report it.
 [[nodiscard]] geo::Vec compute_new_value(const Params& params, const PairList& m);
 
-/// Number of times the relaxed-tolerance / LP fallback fired (diagnostics).
-/// Scoped to the calling thread's obs::Context when one is installed (the
-/// harness gives every run its own), process-wide otherwise.
-[[nodiscard]] std::uint64_t safe_area_fallback_count() noexcept;
-
 }  // namespace hydra::protocols

@@ -35,31 +35,6 @@ struct InstanceObs {
   obs::Context ctx;
 };
 
-/// Mirror of harness make_monitor_config for the engine's protocol (always
-/// the hybrid stack) and its supported schedule-bound adversaries.
-obs::MonitorHost::Config make_monitor_config(const ServeSpec& spec,
-                                             std::vector<bool> honest,
-                                             std::vector<geo::Vec> honest_inputs) {
-  const protocols::Params& p = spec.params;
-  obs::MonitorHost::Config cfg;
-  cfg.mode = spec.monitors;
-  cfg.n = p.n;
-  cfg.ts = p.ts;
-  cfg.ta = p.ta;
-  cfg.dim = p.dim;
-  cfg.eps = p.eps;
-  cfg.honest = std::move(honest);
-  cfg.honest_inputs = std::move(honest_inputs);
-  cfg.domain = p.domain;
-  if (p.aggregation == protocols::Aggregation::kDiameterMidpoint) {
-    cfg.contraction_factor = domain::resolve(p.domain).contraction_factor();
-  }
-  // kNone / kSilent / kCrash all follow the honest message schedule, so the
-  // Theorem 5.19 complexity budget applies (as in the single-run harness).
-  cfg.budget = obs::hybrid_complexity_budget(p.n, p.dim);
-  return cfg;
-}
-
 }  // namespace
 
 ServeResult run_serve(const ServeSpec& spec) {
@@ -108,6 +83,15 @@ ServeResult run_serve(const ServeSpec& spec) {
     return corrupt[instance] && id < spec.corruptions;
   };
 
+  // Each instance runs like a single hybrid-protocol run of this spec: the
+  // harness builds its monitor configuration and its network model.
+  harness::RunSpec run_spec;
+  run_spec.params = p;
+  run_spec.network = spec.network;
+  run_spec.adversary = spec.adversary;
+  run_spec.corruptions = adversarial ? spec.corruptions : 0;
+  run_spec.monitors = spec.monitors;
+
   // Per-instance invariant monitors. One host per instance, shared by all n
   // muxes (its hooks serialize internally); installed around dispatches via
   // the mux's instance_context hook, so each host observes exactly its own
@@ -122,8 +106,8 @@ ServeResult run_serve(const ServeSpec& spec) {
         honest[id] = !is_corrupt_slot(k, id);
         if (honest[id]) honest_inputs.push_back(inputs[k][id]);
       }
-      monitors.push_back(std::make_unique<InstanceObs>(
-          make_monitor_config(spec, std::move(honest), std::move(honest_inputs))));
+      monitors.push_back(std::make_unique<InstanceObs>(*harness::make_monitor_config(
+          run_spec, p, honest, std::move(honest_inputs))));
     }
   }
 
@@ -186,13 +170,7 @@ ServeResult run_serve(const ServeSpec& spec) {
     parties.push_back(std::move(mux));
   }
 
-  // make_network only reads the network kind, delta, and the corruption
-  // count, all of which the serve spec shares with a single run.
   harness::ensure_backends_registered();
-  harness::RunSpec net_spec;
-  net_spec.params = p;
-  net_spec.network = spec.network;
-  net_spec.corruptions = adversarial ? spec.corruptions : 0;
   auto backend = net::make_backend(
       spec.backend,
       net::BackendConfig{.n = p.n,
@@ -203,7 +181,7 @@ ServeResult run_serve(const ServeSpec& spec) {
                          .timeout_ms = spec.timeout_ms,
                          .endpoints = spec.endpoints,
                          .instance_tag_limit = spec.instances},
-      harness::make_network(net_spec));
+      harness::make_network(run_spec));
   HYDRA_ASSERT_MSG(backend != nullptr, "serve: unknown ServeSpec::backend");
 
   const auto finished = [](const sim::IParty& party, PartyId) {

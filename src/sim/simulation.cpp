@@ -45,9 +45,9 @@ class Simulation::PartyEnv final : public Env {
   PartyId id_;
 };
 
-Simulation::Simulation(SimConfig config, std::unique_ptr<DelayModel> delay_model)
-    : config_(config),
-      delay_model_(std::move(delay_model)),
+Simulation::Simulation(net::BackendConfig config,
+                       std::unique_ptr<DelayModel> delay_model)
+    : delay_model_(std::move(delay_model)),
       rng_(config.seed),
       pipeline_(net::EgressConfig{.n = config.n,
                                   .delta = config.delta,
@@ -55,7 +55,8 @@ Simulation::Simulation(SimConfig config, std::unique_ptr<DelayModel> delay_model
                                   .eager_ids = false,
                                   .messages_counter = "sim.messages",
                                   .bytes_counter = "sim.bytes",
-                                  .delay_histogram = "sim.delay_delta"}) {
+                                  .delay_histogram = "sim.delay_delta"}),
+      config_(std::move(config)) {
   HYDRA_ASSERT(delay_model_ != nullptr);
   HYDRA_ASSERT(config_.n >= 1);
 }
@@ -177,6 +178,19 @@ SimStats Simulation::run() {
   return stats_;
 }
 
+net::BackendStats Simulation::run(std::vector<std::unique_ptr<IParty>>& parties,
+                                   const FinishedFn& /*finished*/) {
+  for (auto& party : parties) add_party(std::move(party));
+  const SimStats stats = run();
+  net::BackendStats out;
+  out.wire = stats;  // slice down to the shared WireStats base
+  out.end_time = stats.end_time;
+  out.events = stats.events;
+  out.hit_limit = stats.hit_limit;
+  out.monitor_aborted = stats.monitor_aborted;
+  return out;
+}
+
 void Simulation::drain_observed(obs::MonitorHost* mon) {
   HYDRA_PROF_SCOPE("sim.run");
   while (!queue_.empty()) {
@@ -201,6 +215,15 @@ void Simulation::drain_observed(obs::MonitorHost* mon) {
       ev.fn();
     }
   }
+}
+
+void register_sim_backend() {
+  net::register_backend(
+      "sim",
+      [](const net::BackendConfig& config,
+         std::unique_ptr<DelayModel> delay_model) -> std::unique_ptr<net::Backend> {
+        return std::make_unique<Simulation>(config, std::move(delay_model));
+      });
 }
 
 }  // namespace hydra::sim

@@ -164,7 +164,7 @@ net::BackendStats ThreadNetwork::run(std::vector<std::unique_ptr<sim::IParty>>& 
 
   // Party threads inherit the launching thread's observability context, so a
   // network run from inside a per-run session keeps writing to that run's
-  // registry/trace instead of the globals.
+  // registry/trace.
   obs::Context* obs_ctx = obs::current_context();
 
   auto worker = [&, obs_ctx](PartyId id) {
@@ -196,11 +196,13 @@ net::BackendStats ThreadNetwork::run(std::vector<std::unique_ptr<sim::IParty>>& 
       if (stop_.load(std::memory_order_acquire)) break;
       bool progressed = false;
       if (item) {
-        // Timers due no later than the message fire first, in the order the
-        // simulator would run them: a worker that wakes late must not hand
-        // its party a message ahead of an earlier timer (a serve instance's
-        // admission, say, which the message would otherwise find pending).
-        fire_timers(item->due);
+        // Timers due strictly earlier than the message fire first, in the
+        // simulator's order: a worker that wakes late must not hand its party
+        // a message ahead of an earlier timer (a serve instance's admission,
+        // say, which the message would otherwise find pending), and on a tick
+        // tie the message goes first, as the simulator delivers same-tick
+        // messages before timers.
+        fire_timers(item->due - 1);
         if (obs::enabled()) {
           // net::DeliveryGate emits the deliver trace event and brackets the
           // handler with begin_dispatch/end_dispatch, so invariant

@@ -3,12 +3,13 @@
 #
 #   1. A real 4-process `hydra serve`/`join` run over UDS, each process
 #      writing its own trace, stats heartbeats, and perf profile.
-#   2. `trace_merge` stitches the per-process traces into one timeline,
-#      re-evaluates the global monitors, and is deterministic under input
-#      shuffling (the output is a pure function of the file contents).
+#   2. `hydra report --merge` stitches the per-process traces into one
+#      timeline, re-evaluates the global monitors and exits 0; the same
+#      traces with one `send` line deleted make it exit 1 on the orphan
+#      deliver.
 #   3. The merged timeline reproduces the single-process run of the same
 #      spec/seed: per-party send tallies match exactly, and both verdicts
-#      are violation-free (`hydra report --merge` exits 0).
+#      are violation-free.
 #   4. `hydra top` renders the stats heartbeats; every stats file carries a
 #      guaranteed final:1 line.
 #   5. `hydra perf --input` merges the per-process hydra-perf-v1 profiles.
@@ -17,11 +18,10 @@
 #      survivors' traces must still merge (reported incomplete, not an
 #      error).
 #
-# Usage: cli_distributed_test.sh /path/to/hydra /path/to/trace_merge
+# Usage: cli_distributed_test.sh /path/to/hydra
 set -u
 
-HYDRA="${1:?usage: cli_distributed_test.sh /path/to/hydra /path/to/trace_merge}"
-TRACE_MERGE="${2:?usage: cli_distributed_test.sh /path/to/hydra /path/to/trace_merge}"
+HYDRA="${1:?usage: cli_distributed_test.sh /path/to/hydra}"
 FAILURES=0
 
 fail() {
@@ -56,24 +56,33 @@ for party in 0 1 2 3; do
 done
 [ "$FAILURES" -eq 0 ] || { echo "$FAILURES failure(s)" >&2; exit 1; }
 
-# --- 2. merge: re-evaluated, deterministic under shuffle -------------------
-if ! "$TRACE_MERGE" --check --out merged.jsonl \
-    trace.p0.jsonl trace.p1.jsonl trace.p2.jsonl trace.p3.jsonl \
-    2>merge.err; then
-  fail "trace_merge --check failed: $(cat merge.err)"
+# --- 2. merge: re-evaluated, and orphan delivers fail a complete merge ------
+if ! "$HYDRA" report --merge 'trace.p*.jsonl' --merged-out merged.jsonl \
+    >report.txt 2>merge.err; then
+  fail "hydra report --merge failed: $(cat merge.err)"
 fi
+grep -q 'merged 4 trace(s)' merge.err \
+  || fail "report --merge summary missing: $(cat merge.err)"
 grep -q 'global monitors re-evaluated' merge.err \
   || fail "merge did not re-evaluate global monitors: $(cat merge.err)"
-"$TRACE_MERGE" --out merged.shuffled.jsonl \
-    trace.p3.jsonl trace.p1.jsonl trace.p0.jsonl trace.p2.jsonl 2>/dev/null
-cmp -s merged.jsonl merged.shuffled.jsonl \
-  || fail "merged output depends on trace argument order"
 tail -1 merged.jsonl | grep -q '"complete":1' \
   || fail "merged end marker not complete: $(tail -1 merged.jsonl)"
 tail -1 merged.jsonl | grep -q '"violations":0' \
   || fail "merged timeline carries violations: $(tail -1 merged.jsonl)"
 tail -1 merged.jsonl | grep -q '"orphans":0' \
   || fail "healthy run produced orphan delivers: $(tail -1 merged.jsonl)"
+# The same complete run with one send line lost: the deliver naming it is an
+# orphan, which a complete merge must not accept.
+mkdir lost
+cp trace.p*.jsonl lost/
+SEND_LINE=$(grep -n '"ev":"send",' lost/trace.p1.jsonl | head -1 | cut -d: -f1)
+sed -i "${SEND_LINE}d" lost/trace.p1.jsonl
+"$HYDRA" report --merge 'lost/trace.p*.jsonl' >lost.txt 2>lost.err
+STATUS=$?
+[ "$STATUS" -eq 1 ] \
+  || fail "merge of a trace missing one send: expected exit 1, got $STATUS"
+grep -q 'error: 1 orphan deliver' lost.err \
+  || fail "merge of a trace missing one send names no orphan: $(cat lost.err)"
 
 # --- 3. merged == single-process run of the same spec/seed ------------------
 # The reference is the SIMULATOR backend: virtual time makes its trajectory
@@ -93,14 +102,6 @@ for party in 0 1 2 3; do
   [ "$MERGED_SENDS" -eq "$SINGLE_SENDS" ] \
     || fail "party $party send tally differs: merged=$MERGED_SENDS single=$SINGLE_SENDS"
 done
-if ! "$HYDRA" report --merge 'trace.p*.jsonl' --merged-out merged2.jsonl \
-    >report.txt 2>report.err; then
-  fail "hydra report --merge failed: $(cat report.err)"
-fi
-cmp -s merged.jsonl merged2.jsonl \
-  || fail "report --merge produced different merged bytes than trace_merge"
-grep -q 'merged 4 trace(s)' report.err \
-  || fail "report --merge summary missing: $(cat report.err)"
 
 # --- 4. stats heartbeats + hydra top ---------------------------------------
 for party in 0 1 2 3; do
@@ -156,7 +157,8 @@ for party in 0 1 2; do
 done                              # timeout wrapper bounds them either way
 [ -s trace.p3.jsonl ] || fail "killed join left no trace behind"
 [ -s stats.p3.jsonl ] || fail "killed join left no stats behind"
-if ! "$TRACE_MERGE" --out killed.jsonl trace.p*.jsonl 2>kmerge.err; then
+if ! "$HYDRA" report --merge 'trace.p*.jsonl' --merged-out killed.jsonl \
+    >kreport.txt 2>kmerge.err; then
   fail "merging traces from a killed run errored: $(cat kmerge.err)"
 fi
 grep -q 'incomplete' kmerge.err \

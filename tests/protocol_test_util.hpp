@@ -182,10 +182,10 @@ struct AaRun {
 inline AaRun run_aa(AaRunConfig cfg) {
   AaRun run;
   run.sim = std::make_unique<sim::Simulation>(
-      sim::SimConfig{.n = cfg.params.n,
-                     .delta = cfg.params.delta,
-                     .seed = cfg.seed,
-                     .max_time = cfg.max_time},
+      net::BackendConfig{.n = cfg.params.n,
+                         .delta = cfg.params.delta,
+                         .seed = cfg.seed,
+                         .max_time = cfg.max_time},
       cfg.delay(cfg.params));
   for (PartyId id = 0; id < cfg.params.n; ++id) {
     const auto byz = cfg.byzantine.find(id);

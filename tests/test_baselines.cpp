@@ -46,7 +46,7 @@ LockstepRun run_lockstep(const SyncLockstepConfig& config,
                          const std::set<PartyId>& silent, std::uint64_t seed) {
   LockstepRun run;
   run.sim = std::make_unique<sim::Simulation>(
-      sim::SimConfig{.n = config.n, .delta = config.delta, .seed = seed},
+      net::BackendConfig{.n = config.n, .delta = config.delta, .seed = seed},
       std::move(model));
   for (PartyId id = 0; id < config.n; ++id) {
     if (silent.contains(id)) {
@@ -134,7 +134,7 @@ TEST(SyncLockstep, BreaksUnderAsynchrony) {
   for (std::uint64_t seed = 1; seed <= 10 && !validity_broken; ++seed) {
     LockstepRun run;
     run.sim = std::make_unique<sim::Simulation>(
-        sim::SimConfig{.n = config.n, .delta = config.delta, .seed = seed},
+        net::BackendConfig{.n = config.n, .delta = config.delta, .seed = seed},
         std::make_unique<sim::ExponentialDelay>(1.2 * config.delta,
                                                 20 * config.delta));
     for (PartyId id = 0; id < config.n; ++id) {
@@ -252,7 +252,7 @@ TEST(AsyncMh, ConvergesUnderAsynchronyAtItsBound) {
   const auto inputs = ring_inputs(9);
 
   sim::Simulation sim(
-      sim::SimConfig{.n = config.n, .delta = config.delta, .seed = 7},
+      net::BackendConfig{.n = config.n, .delta = config.delta, .seed = 7},
       std::make_unique<adversary::ReorderScheduler>(config.delta, 0.3,
                                                     15 * config.delta));
   std::vector<AsyncMhParty*> honest;

@@ -1,9 +1,9 @@
 // net core (src/net/): the shared egress pipeline's accounting and id
-// contracts, the backend registry, and sim/threads backend parity — the same
-// spec must produce the same verdict on both backends, identical wire totals
-// where the schedule cannot change them, and thread-backend invariant
-// violations must carry a nonzero causal send id (the monitor-dispatch
-// bracketing regression).
+// contracts, the backend registry, and backend parity — the same spec must
+// produce the same verdict on sim and threads, identical wire totals where
+// the schedule cannot change them, the same same-tick event order on sim,
+// threads and uds, and thread-backend invariant violations must carry a
+// nonzero causal send id (the monitor-dispatch bracketing regression).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -186,6 +186,49 @@ TEST(BackendParity, DeterministicWireTotalsMatch) {
     EXPECT_EQ(sim.bytes, threads.bytes) << "faults='" << faults << "'";
     EXPECT_EQ(sim.sent_per_party, threads.sent_per_party)
         << "faults='" << faults << "'";
+  }
+}
+
+/// Sends itself a message, then sets a timer at the current tick, and logs
+/// the order its handlers ran in ('m' message, 't' timer).
+class SameTickParty final : public sim::IParty {
+ public:
+  void start(sim::Env& env) override {
+    env.send(env.self(), test_message());
+    env.set_timer(env.now(), 1);
+  }
+  void on_message(sim::Env&, PartyId, const sim::Message&) override { log_ += 'm'; }
+  void on_timer(sim::Env&, std::uint64_t) override { log_ += 't'; }
+  [[nodiscard]] const std::string& log() const { return log_; }
+
+ private:
+  std::string log_;
+};
+
+// Same-tick order: a message due at the tick of a timer is delivered before
+// the timer fires, on every backend — the simulator's inclusive "delivered
+// within Delta" rule, which a guard evaluated at that tick relies on.
+TEST(BackendParity, SameTickMessageBeforeTimer) {
+  harness::ensure_backends_registered();
+  for (const char* name : {"sim", "threads", "uds"}) {
+    auto backend = net::make_backend(
+        name,
+        net::BackendConfig{.n = 2, .delta = 1000, .us_per_tick = 1000,
+                           .timeout_ms = 10'000},
+        std::make_unique<sim::FixedDelay>(1000));
+    ASSERT_NE(backend, nullptr) << name;
+    std::vector<std::unique_ptr<sim::IParty>> parties;
+    std::vector<const SameTickParty*> observed;
+    for (int i = 0; i < 2; ++i) {
+      auto party = std::make_unique<SameTickParty>();
+      observed.push_back(party.get());
+      parties.push_back(std::move(party));
+    }
+    const auto stats = backend->run(parties, [](const sim::IParty& party, PartyId) {
+      return static_cast<const SameTickParty&>(party).log().size() == 2;
+    });
+    EXPECT_FALSE(stats.timed_out) << name;
+    for (const SameTickParty* party : observed) EXPECT_EQ(party->log(), "mt") << name;
   }
 }
 

@@ -25,7 +25,7 @@ Params make_params(std::size_t n, std::size_t ts, std::size_t ta, std::size_t di
 struct ObcFixture {
   ObcFixture(const Params& params, std::uint64_t seed,
              std::unique_ptr<sim::DelayModel> model)
-      : sim(sim::SimConfig{.n = params.n, .delta = params.delta, .seed = seed},
+      : sim(net::BackendConfig{.n = params.n, .delta = params.delta, .seed = seed},
             std::move(model)) {}
 
   ObcTestParty* add_honest(const Params& params, geo::Vec input) {

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -65,25 +66,15 @@ TEST(Prof, ScopedContextInstallsAndRestores) {
   EXPECT_EQ(phases.at("inside").count, 1u);
 }
 
-TEST(Prof, ProcessWideFallbackProfiler) {
-  obs::Profiler prof;
-  obs::set_profiler(&prof);
-  { HYDRA_PROF_SCOPE("global.phase"); }
-  obs::set_profiler(nullptr);
-  EXPECT_FALSE(obs::prof_enabled());
-  const auto phases = by_name(prof);
-  ASSERT_TRUE(phases.contains("global.phase"));
-  EXPECT_EQ(phases.at("global.phase").count, 1u);
-}
-
 TEST(Prof, AggregatesByNameAcrossInvocations) {
   obs::Profiler prof;
-  obs::set_profiler(&prof);
+  obs::Context ctx{.profiler = &prof};
+  std::optional<obs::ScopedContext> scope(std::in_place, &ctx);
   constexpr int kReps = 100;
   for (int i = 0; i < kReps; ++i) {
     HYDRA_PROF_SCOPE("loop.body");
   }
-  obs::set_profiler(nullptr);
+  scope.reset();
   const auto phases = by_name(prof);
   ASSERT_TRUE(phases.contains("loop.body"));
   const auto& s = phases.at("loop.body");
@@ -98,7 +89,8 @@ TEST(Prof, AggregatesByNameAcrossInvocations) {
 
 TEST(Prof, NestingChargesChildTimeToParentSelf) {
   obs::Profiler prof;
-  obs::set_profiler(&prof);
+  obs::Context ctx{.profiler = &prof};
+  std::optional<obs::ScopedContext> scope(std::in_place, &ctx);
   {
     HYDRA_PROF_SCOPE("parent");
     {
@@ -106,7 +98,7 @@ TEST(Prof, NestingChargesChildTimeToParentSelf) {
       spin_at_least(std::chrono::milliseconds(2));
     }
   }
-  obs::set_profiler(nullptr);
+  scope.reset();
   const auto phases = by_name(prof);
   ASSERT_TRUE(phases.contains("parent"));
   ASSERT_TRUE(phases.contains("child"));
@@ -122,13 +114,14 @@ TEST(Prof, NestingChargesChildTimeToParentSelf) {
 
 TEST(Prof, RecursiveSameNameAggregatesUnderOneKey) {
   obs::Profiler prof;
-  obs::set_profiler(&prof);
+  obs::Context ctx{.profiler = &prof};
+  std::optional<obs::ScopedContext> scope(std::in_place, &ctx);
   const std::function<void(int)> recurse = [&recurse](int depth) {
     HYDRA_PROF_SCOPE("recurse");
     if (depth > 0) recurse(depth - 1);
   };
   recurse(4);
-  obs::set_profiler(nullptr);
+  scope.reset();
   const auto phases = by_name(prof);
   ASSERT_TRUE(phases.contains("recurse"));
   const auto& s = phases.at("recurse");
@@ -140,9 +133,10 @@ TEST(Prof, RecursiveSameNameAggregatesUnderOneKey) {
 
 TEST(Prof, ResetDropsEverything) {
   obs::Profiler prof;
-  obs::set_profiler(&prof);
+  obs::Context ctx{.profiler = &prof};
+  std::optional<obs::ScopedContext> scope(std::in_place, &ctx);
   { HYDRA_PROF_SCOPE("ephemeral"); }
-  obs::set_profiler(nullptr);
+  scope.reset();
   EXPECT_FALSE(prof.snapshot().empty());
   prof.reset();
   EXPECT_TRUE(prof.snapshot().empty());
@@ -162,11 +156,12 @@ TEST(Prof, BucketOfLandsSamplesInLog2Buckets) {
 
 TEST(Prof, SnapshotIsSortedByName) {
   obs::Profiler prof;
-  obs::set_profiler(&prof);
+  obs::Context ctx{.profiler = &prof};
+  std::optional<obs::ScopedContext> scope(std::in_place, &ctx);
   { HYDRA_PROF_SCOPE("zeta"); }
   { HYDRA_PROF_SCOPE("alpha"); }
   { HYDRA_PROF_SCOPE("mid"); }
-  obs::set_profiler(nullptr);
+  scope.reset();
   const auto snap = prof.snapshot();
   ASSERT_EQ(snap.size(), 3u);
   EXPECT_EQ(snap[0].name, "alpha");

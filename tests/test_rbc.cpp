@@ -31,7 +31,7 @@ Bytes payload_of(std::uint8_t fill, std::size_t len = 8) { return Bytes(len, fil
 struct RbcFixture {
   explicit RbcFixture(Params params, std::uint64_t seed = 1,
                       std::unique_ptr<sim::DelayModel> model = nullptr)
-      : sim(sim::SimConfig{.n = params.n, .delta = params.delta, .seed = seed},
+      : sim(net::BackendConfig{.n = params.n, .delta = params.delta, .seed = seed},
             model ? std::move(model)
                   : std::make_unique<sim::FixedDelay>(params.delta)) {}
 
@@ -214,7 +214,7 @@ TEST(Rbc, DistinctInstancesDoNotInterfere) {
     protocols::RbcMux mux_;
   };
 
-  sim::Simulation sim(sim::SimConfig{.n = 4, .delta = params.delta, .seed = 1},
+  sim::Simulation sim(net::BackendConfig{.n = 4, .delta = params.delta, .seed = 1},
                       std::make_unique<sim::FixedDelay>(params.delta));
   std::vector<DualSender*> parties;
   for (int i = 0; i < 4; ++i) {

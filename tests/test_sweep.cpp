@@ -259,9 +259,6 @@ TEST(Sweep, DegenerateWorkloadsUnderParallelPath) {
 // ------------------------------------------------------------- obs contexts
 
 TEST(ObsContext, ScopedContextIsolatesRegistryAndFallbacks) {
-  obs::Registry::global().reset();
-  const auto global_fallbacks = obs::safe_area_fallback_slot().load();
-
   obs::Registry mine;
   obs::Context ctx;
   ctx.registry = &mine;
@@ -271,12 +268,11 @@ TEST(ObsContext, ScopedContextIsolatesRegistryAndFallbacks) {
     EXPECT_TRUE(obs::enabled());
     EXPECT_EQ(&obs::registry(), &mine);
     obs::registry().counter("ctx.test").inc(3);
-    obs::safe_area_fallback_slot().fetch_add(2);
+    obs::current_context()->safe_area_fallbacks.fetch_add(2);
     {
       // Nested install restores the outer context on exit.
       const obs::ScopedContext inner(nullptr);
       EXPECT_FALSE(obs::enabled());
-      EXPECT_EQ(&obs::registry(), &obs::Registry::global());
     }
     EXPECT_EQ(&obs::registry(), &mine);
   }
@@ -284,10 +280,6 @@ TEST(ObsContext, ScopedContextIsolatesRegistryAndFallbacks) {
   EXPECT_FALSE(obs::enabled());
   EXPECT_EQ(mine.counter("ctx.test").value(), 3u);
   EXPECT_EQ(ctx.safe_area_fallbacks.load(), 2u);
-  // Nothing leaked into the legacy process-wide state.
-  EXPECT_EQ(obs::safe_area_fallback_slot().load(), global_fallbacks);
-  EXPECT_EQ(obs::Registry::global().to_json(),
-            R"({"counters":{},"gauges":{},"histograms":{}})");
 }
 
 // Monitors live inside each run's obs::Context, so a parallel sweep must

@@ -10,8 +10,9 @@
 //                             naturally for the first process, "join" for
 //                             the rest)
 //   hydra report [options]    render a trace (+ metrics) into a readable
-//                             report (markdown or single-file HTML); with
-//                             --merge, stitch per-process traces first
+//                             report (markdown or single-file HTML) or
+//                             export it as Chrome trace JSON; with --merge,
+//                             stitch per-process traces first
 //   hydra perf   [options]    measure the geometry kernels (ns/point) or
 //                             read a bench JSON, and gate it against a
 //                             baseline; or render --perf-json phase profiles
@@ -106,11 +107,16 @@
 //                         timeline, re-evaluate the GLOBAL monitors when
 //                         every process completed, and report THAT
 //                         (docs/OBSERVABILITY.md "Distributed runs"); exits
-//                         1 on merge errors or violations
+//                         1 on merge errors, violations, or orphan delivers
+//                         in a complete merge (expected after a killed
+//                         process, so not counted then)
 //   --merged-out PATH     also write the stitched JSONL (only with --merge)
 //   --metrics PATH        the run's --metrics-json document (optional)
 //   --out PATH            output file (default: stdout)
-//   --format md|html      report format (default md)
+//   --format md|html|chrome
+//                         report format (default md); chrome writes the
+//                         trace as Chrome about://tracing / Perfetto JSON
+//                         instead of a report
 //
 // hydra perf options (docs/OBSERVABILITY.md "Measuring performance"):
 //   (no --input)          measure the geometry kernels on fixed inputs and
@@ -167,6 +173,7 @@
 #include "harness/stats.hpp"
 #include "harness/sweep.hpp"
 #include "harness/table.hpp"
+#include "obs/convert.hpp"
 #include "obs/flatjson.hpp"
 #include "obs/merge.hpp"
 #include "obs/monitor.hpp"
@@ -241,7 +248,26 @@ void list_values() {
     domains += name;
   }
   std::printf("domain     : %s\n", domains.c_str());
-  std::printf("format     : md html (hydra report)\n");
+  std::printf("format     : md html chrome (hydra report)\n");
+}
+
+/// The --key value / --key=value pairs after the subcommand. Duplicate keys
+/// overwrite — pass multi-valued inputs as one glob/comma value, not
+/// repeated flags.
+std::map<std::string, std::string> parse_kv(int argc, char** argv) {
+  std::map<std::string, std::string> kv;
+  for (int i = 2; i < argc; ++i) {
+    std::string key = argv[i];
+    if (key.rfind("--", 0) != 0) usage("malformed options");
+    key = key.substr(2);
+    if (const auto eq = key.find('='); eq != std::string::npos) {
+      kv[key.substr(0, eq)] = key.substr(eq + 1);
+    } else {
+      if (i + 1 >= argc) usage("malformed options");
+      kv[key] = argv[++i];
+    }
+  }
+  return kv;
 }
 
 Options parse(int argc, char** argv) {
@@ -263,20 +289,7 @@ Options parse(int argc, char** argv) {
   spec.workload_scale = 10.0;
   spec.seed = 1;
 
-  std::map<std::string, std::string> kv;
-  for (int i = 2; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) usage("malformed options");
-    key = key.substr(2);
-    // --key=value and --key value are both accepted.
-    if (const auto eq = key.find('='); eq != std::string::npos) {
-      kv[key.substr(0, eq)] = key.substr(eq + 1);
-    } else {
-      if (i + 1 >= argc) usage("malformed options");
-      kv[key] = argv[++i];
-    }
-  }
-
+  const auto kv = parse_kv(argc, argv);
   const auto num = [&](const char* key, auto fallback) {
     const auto it = kv.find(key);
     if (it == kv.end()) return fallback;
@@ -460,25 +473,6 @@ Options parse(int argc, char** argv) {
   }
   if (spec.corruptions >= spec.params.n) usage("corrupt must be < n");
   return opts;
-}
-
-/// --key value / --key=value pairs for the subcommands that do not go
-/// through parse() (report/perf/top). Duplicate keys overwrite — pass
-/// multi-valued inputs as one glob/comma value, not repeated flags.
-std::map<std::string, std::string> parse_kv(int argc, char** argv) {
-  std::map<std::string, std::string> kv;
-  for (int i = 2; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) usage("malformed options");
-    key = key.substr(2);
-    if (const auto eq = key.find('='); eq != std::string::npos) {
-      kv[key.substr(0, eq)] = key.substr(eq + 1);
-    } else {
-      if (i + 1 >= argc) usage("malformed options");
-      kv[key] = argv[++i];
-    }
-  }
-  return kv;
 }
 
 /// Expands a comma-separated list of paths and/or glob patterns into sorted
@@ -787,6 +781,7 @@ int cmd_report(int argc, char** argv) {
   // makes `hydra report --merge ...` usable directly as a CI check.
   std::string merged;
   std::uint64_t merge_violations = 0;
+  std::size_t merge_orphans = 0;
   std::string source_name;
   if (merge_glob != kv.end()) {
     const auto paths = expand_inputs(merge_glob->second);
@@ -818,6 +813,9 @@ int cmd_report(int argc, char** argv) {
     }
     merged = result.merged;
     merge_violations = result.violations;
+    // A complete merge holds every process's sends, so each deliver must
+    // find its cause; after a killed process orphans are expected.
+    if (result.complete) merge_orphans = result.orphans;
     source_name = merge_glob->second;
   } else {
     source_name = trace_path->second;
@@ -850,17 +848,23 @@ int cmd_report(int argc, char** argv) {
   }
 
   obs::ReportOptions options;
+  bool chrome = false;
   if (const auto it = kv.find("format"); it != kv.end()) {
     if (it->second == "html") {
       options.format = obs::ReportOptions::Format::kHtml;
+    } else if (it->second == "chrome") {
+      chrome = true;
     } else if (it->second != "md") {
-      usage("unknown format (md|html)");
+      usage("unknown format (md|html|chrome)");
     }
   }
   if (const auto it = kv.find("title"); it != kv.end()) options.title = it->second;
 
+  // chrome writes the trace itself as Chrome trace-event JSON
+  // (obs/convert.hpp) instead of a report.
   const auto render = [&](std::ostream& out) {
-    return obs::render_report(trace, metrics, options, out);
+    return chrome ? obs::chrome_trace_from_jsonl(trace, out)
+                  : obs::render_report(trace, metrics, options, out);
   };
   std::size_t events = 0;
   if (const auto it = kv.find("out"); it != kv.end()) {
@@ -878,10 +882,18 @@ int cmd_report(int argc, char** argv) {
     return 1;
   }
   // Merge mode gates on the GLOBAL verdict: re-evaluated violations (or the
-  // surviving per-process ones when a process died) fail the command.
+  // surviving per-process ones when a process died) fail the command, and
+  // so do orphan delivers in a complete merge.
   if (merge_violations > 0) {
     std::fprintf(stderr, "error: %llu invariant violation(s) in merged trace\n",
                  static_cast<unsigned long long>(merge_violations));
+    return 1;
+  }
+  if (merge_orphans > 0) {
+    std::fprintf(stderr,
+                 "error: %zu orphan deliver(s) in complete merged trace (a "
+                 "deliver whose send is missing)\n",
+                 merge_orphans);
     return 1;
   }
   return 0;
