@@ -1,30 +1,20 @@
-// T6 — Geometry kernel performance and the D >= 3 sampling ablation.
+// T6a — the D >= 3 support-direction ablation.
 //
-// Part 1 (printed table): DESIGN.md decision 3 trades exactness for
-// generality above D = 3 — the diameter pair of the safe area is computed
-// from direction-sampled support points (D = 3 itself has an exact
-// facet-enumeration kernel since hull3d landed). This ablation measures the
-// sampled kernel against the exact one on D = 3 instances: relative diameter
-// error and midpoint shift as the direction budget grows, plus the effective
-// per-iteration contraction in a real D = 3 protocol run per budget.
+// DESIGN.md decision 3 trades exactness for generality above D = 3 — the
+// diameter pair of the safe area is computed from direction-sampled support
+// points (D = 3 itself has an exact facet-enumeration kernel since hull3d
+// landed). This ablation measures the sampled kernel against the exact one
+// on D = 3 instances: relative diameter error and midpoint shift as the
+// direction budget grows, plus the effective per-iteration contraction in a
+// real D = 3 protocol run per budget.
 //
-// Part 2 (google-benchmark): microbenchmarks of the hot kernels — 2-D hull,
-// polygon intersection, safe areas across (m, t, D), simplex LP membership.
-//
-// `--json PATH` switches to CI mode: the shared per-kernel ns/point
-// measurement (harness::measure_geometry_kernels — the same workload `hydra
-// perf` runs), written as hydra-bench-v1 JSON and gated against
-// bench/baselines/BENCH_geometry.json by `hydra perf --input`. The ablation and
-// the google-benchmark suite are skipped in that mode.
-#include <benchmark/benchmark.h>
-
+// Kernel runtimes (ns/point) are measured and gated by `hydra perf` against
+// bench/baselines/BENCH_geometry.json.
 #include <cstdio>
 #include <vector>
 
-#include "bench_json.hpp"
 #include "common/rng.hpp"
 #include "geometry/convex.hpp"
-#include "geometry/polygon.hpp"
 #include "geometry/safe_area.hpp"
 #include "harness/runner.hpp"
 #include "harness/table.hpp"
@@ -123,87 +113,9 @@ void direction_ablation() {
               "contraction factor degrades gracefully at tiny budgets.\n\n");
 }
 
-// ------------------------------------------------- google-benchmark part
-
-void BM_Hull2D(benchmark::State& state) {
-  Rng rng(1);
-  const auto pts = random_points(rng, static_cast<std::size_t>(state.range(0)), 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(geo::ConvexPolygon2D::hull_of(pts));
-  }
-}
-BENCHMARK(BM_Hull2D)->Arg(8)->Arg(16)->Arg(64);
-
-void BM_PolygonIntersect(benchmark::State& state) {
-  Rng rng(2);
-  const auto a = geo::ConvexPolygon2D::hull_of(
-      random_points(rng, static_cast<std::size_t>(state.range(0)), 2));
-  const auto b = geo::ConvexPolygon2D::hull_of(
-      random_points(rng, static_cast<std::size_t>(state.range(0)), 2, 8.0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a.intersect(b));
-  }
-}
-BENCHMARK(BM_PolygonIntersect)->Arg(8)->Arg(16);
-
-void BM_SafeArea1D(benchmark::State& state) {
-  Rng rng(3);
-  const auto pts = random_points(rng, static_cast<std::size_t>(state.range(0)), 1);
-  const auto t = static_cast<std::size_t>(state.range(1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(geo::SafeArea::compute(pts, t));
-  }
-}
-BENCHMARK(BM_SafeArea1D)->Args({8, 2})->Args({16, 5})->Args({32, 10});
-
-void BM_SafeArea2D(benchmark::State& state) {
-  Rng rng(4);
-  const auto pts = random_points(rng, static_cast<std::size_t>(state.range(0)), 2);
-  const auto t = static_cast<std::size_t>(state.range(1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(geo::SafeArea::compute(pts, t));
-  }
-}
-BENCHMARK(BM_SafeArea2D)->Args({6, 1})->Args({8, 2})->Args({12, 3})->Args({16, 2});
-
-void BM_SafeArea3DSampled(benchmark::State& state) {
-  Rng rng(5);
-  const auto pts = random_points(rng, static_cast<std::size_t>(state.range(0)), 3);
-  geo::SafeAreaOptions opts;
-  opts.support_directions = static_cast<std::size_t>(state.range(1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(geo::SafeArea::compute(pts, 1, opts));
-  }
-}
-BENCHMARK(BM_SafeArea3DSampled)->Args({6, 16})->Args({6, 64})->Args({8, 64});
-
-void BM_PointInHullLP(benchmark::State& state) {
-  Rng rng(6);
-  const auto dim = static_cast<std::size_t>(state.range(0));
-  const auto pts = random_points(rng, 2 * dim + 4, dim);
-  const geo::Vec q(dim, 0.1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(geo::in_convex_hull(pts, q));
-  }
-}
-BENCHMARK(BM_PointInHullLP)->Arg(2)->Arg(4)->Arg(8);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  const std::string json_path = hydra::bench::consume_json_path(argc, argv);
-  if (!json_path.empty()) {
-    const auto metrics = harness::measure_geometry_kernels();
-    harness::Table table({"kernel", "unit", "value", "repetitions"});
-    for (const auto& m : metrics) {
-      table.row({m.name, m.unit, harness::fmt(m.value),
-                 harness::fmt(m.repetitions)});
-    }
-    table.print();
-    return harness::write_bench_json(json_path, "geometry", metrics) ? 0 : 1;
-  }
+int main() {
   direction_ablation();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -6,8 +6,8 @@
 // loop — same Event struct, ordering, Env virtual dispatch, delay-model draw
 // and queue discipline — with the `if (obs::enabled())` branches deleted,
 // compiled in its own translation unit so both loops pay the same cross-TU
-// inlining boundaries. Both run the same message-flood workload (the
-// PingParty pattern from bench_simulator.cpp);
+// inlining boundaries. Both run the same message-flood workload (PingParty:
+// each party starts one token that travels the ring for a fixed number of hops);
 // the gate statistic is the median ratio over back-to-back single-sim A/B
 // pairs, which cancels CPU-frequency drift. Exits nonzero when the overhead
 // bound is violated, so scripts can gate on it; deliberately NOT registered

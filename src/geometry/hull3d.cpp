@@ -40,13 +40,16 @@ struct Face {
 /// Signed distance of point i above face f.
 double height(const Face& f, const V3& p) { return dot3(f.n, p) - f.c; }
 
-Face make_face(std::size_t a, std::size_t b, std::size_t c,
-               const std::vector<V3>& pts, const V3& interior) {
+/// The face (a, b, c) oriented away from `interior`; nullopt when its
+/// normal is zero or not finite (coincident or collinear corners: duplicate
+/// and near-equal input points can get past the initial-simplex checks).
+std::optional<Face> make_face(std::size_t a, std::size_t b, std::size_t c,
+                              const std::vector<V3>& pts, const V3& interior) {
   Face f;
   f.v = {a, b, c};
   V3 n = cross3(pts[b] - pts[a], pts[c] - pts[a]);
   const double len = norm3(n);
-  HYDRA_ASSERT(len > 0.0);
+  if (!std::isfinite(len) || len <= 0.0) return std::nullopt;
   n = n * (1.0 / len);
   double off = dot3(n, pts[a]);
   if (dot3(n, interior) > off) {  // flip outward
@@ -140,11 +143,15 @@ std::optional<std::vector<Plane3>> hull3d_facets(std::span<const Vec> points,
   const V3 interior =
       (pts[i0] + pts[i1] + pts[i2] + pts[i3]) * 0.25;
 
+  // A degenerate face anywhere declines the whole hull; the caller falls
+  // back to the LP kernel.
   std::vector<Face> faces;
-  faces.push_back(make_face(i0, i1, i2, pts, interior));
-  faces.push_back(make_face(i0, i1, i3, pts, interior));
-  faces.push_back(make_face(i0, i2, i3, pts, interior));
-  faces.push_back(make_face(i1, i2, i3, pts, interior));
+  for (const auto& [a, b, c] : {std::array{i0, i1, i2}, std::array{i0, i1, i3},
+                                std::array{i0, i2, i3}, std::array{i1, i2, i3}}) {
+    auto face = make_face(a, b, c, pts, interior);
+    if (!face) return std::nullopt;
+    faces.push_back(std::move(*face));
+  }
 
   // Conflict lists.
   const double lift = 4.0 * eps;
@@ -220,7 +227,9 @@ std::optional<std::vector<Plane3>> hull3d_facets(std::span<const Vec> points,
       // Skip degenerate slivers (apex collinear with the edge).
       const V3 cr = cross3(pts[b] - pts[a], p - pts[a]);
       if (norm3(cr) < eps * eps) continue;
-      faces.push_back(make_face(a, b, apex, pts, interior));
+      auto face = make_face(a, b, apex, pts, interior);
+      if (!face) return std::nullopt;
+      faces.push_back(std::move(*face));
       fresh.push_back(faces.size() - 1);
     }
 

@@ -31,7 +31,8 @@ struct Plane3 {
 };
 
 /// H-representation of conv(points) for full-dimensional 3-D input;
-/// nullopt when the points are (numerically) coplanar/collinear/coincident.
+/// nullopt when the points are (numerically) coplanar/collinear/coincident
+/// or any face comes out with a zero or non-finite normal.
 /// `tol` is relative to the point-cloud extent.
 [[nodiscard]] std::optional<std::vector<Plane3>> hull3d_facets(
     std::span<const Vec> points, double tol = 1e-10);

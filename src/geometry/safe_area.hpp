@@ -11,11 +11,12 @@
 //   D = 2  exact polygon clipping over all C(m, t) restrictions.
 //   D = 3  exact facet enumeration (quickhull) + half-space vertex
 //          enumeration when the configuration permits (full-dimensional
-//          hulls, bounded plane count); otherwise the D >= 4 kernel.
+//          hulls without a degenerate face, bounded plane count); otherwise
+//          the D >= 4 kernel.
 //   D >= 4 LP kernel: emptiness and membership are exact (simplex
 //          feasibility); the extreme-point sample used for the diameter pair
-//          is direction-sampled and therefore approximate (ablated by the
-//          bench_geometry_kernels target).
+//          is direction-sampled and therefore approximate (the T6a ablation,
+//          bench_geometry_kernels; kernel runtimes via `hydra perf`).
 //
 // Determinism: given the same value list in the same order, every operation
 // is bit-for-bit deterministic. Protocol layers sort values by sender id

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include "common/log.hpp"
@@ -34,6 +35,7 @@ namespace {
 
 constexpr std::string_view kBenchSchema = "hydra-bench-v1";
 constexpr std::string_view kPerfSchema = "hydra-perf-v1";
+constexpr std::string_view kAgreebenchHeader = "agreebench workload=";
 
 }  // namespace
 
@@ -41,15 +43,19 @@ constexpr std::string_view kPerfSchema = "hydra-perf-v1";
 // hydra-bench-v1 writer
 
 std::string bench_json(std::string_view bench_name,
-                       std::span<const BenchMetric> metrics) {
+                       std::span<const BenchMetric> metrics,
+                       const BenchContext& context) {
   obs::JsonWriter w;
   w.begin_object();
   w.kv("schema", kBenchSchema);
   w.kv("bench", bench_name);
   w.key("context");
   w.begin_object();
-  w.kv("git", HYDRA_GIT_DESCRIBE);
-  w.kv("build", HYDRA_BUILD_TYPE);
+  if (context.empty()) {
+    w.kv("git", HYDRA_GIT_DESCRIBE);
+    w.kv("build", HYDRA_BUILD_TYPE);
+  }
+  for (const auto& [key, value] : context) w.kv(key, std::string_view{value});
   w.end_object();
   w.key("metrics");
   w.begin_array();
@@ -69,13 +75,14 @@ std::string bench_json(std::string_view bench_name,
 }
 
 bool write_bench_json(const std::string& path, std::string_view bench_name,
-                      std::span<const BenchMetric> metrics) {
+                      std::span<const BenchMetric> metrics,
+                      const BenchContext& context) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) {
     HYDRA_LOG_ERROR("perf: cannot open %s for writing", path.c_str());
     return false;
   }
-  out << bench_json(bench_name, metrics);
+  out << bench_json(bench_name, metrics, context);
   return static_cast<bool>(out);
 }
 
@@ -142,6 +149,37 @@ std::optional<std::uint64_t> u64_field(std::string_view body,
   return v;
 }
 
+/// The members of the object after `"key":` whose values are objects, as
+/// (name, balanced {...} body) pairs in document order. nullopt when the key
+/// is absent or a bracket does not balance.
+std::optional<std::vector<std::pair<std::string, std::string_view>>> object_members(
+    std::string_view doc, std::string_view key) {
+  const std::string needle = "\"" + std::string(key) + "\":";
+  const auto key_pos = doc.find(needle);
+  if (key_pos == std::string_view::npos) return std::nullopt;
+  const auto obj_open = doc.find_first_not_of(' ', key_pos + needle.size());
+  if (obj_open == std::string_view::npos || doc[obj_open] != '{') return std::nullopt;
+  const auto obj_close = match_bracket(doc, obj_open);
+  if (obj_close == std::string_view::npos) return std::nullopt;
+
+  std::vector<std::pair<std::string, std::string_view>> members;
+  std::size_t pos = obj_open + 1;
+  while (pos < obj_close) {
+    const auto name_open = doc.find('"', pos);
+    if (name_open == std::string_view::npos || name_open >= obj_close) break;
+    const auto name_close = doc.find('"', name_open + 1);
+    if (name_close == std::string_view::npos) return std::nullopt;
+    const auto body_open = doc.find('{', name_close + 1);
+    if (body_open == std::string_view::npos) return std::nullopt;
+    const auto body_close = match_bracket(doc, body_open);
+    if (body_close == std::string_view::npos) return std::nullopt;
+    members.emplace_back(doc.substr(name_open + 1, name_close - name_open - 1),
+                         doc.substr(body_open, body_close - body_open + 1));
+    pos = body_close + 1;
+  }
+  return members;
+}
+
 }  // namespace
 
 std::optional<BenchDoc> parse_bench_json(std::string_view doc) {
@@ -176,41 +214,92 @@ std::optional<BenchDoc> parse_bench_json(std::string_view doc) {
   return out;
 }
 
-std::optional<BenchDoc> load_bench_json(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    HYDRA_LOG_ERROR("perf: cannot read %s", path.c_str());
+bool is_agreebench_output(std::string_view text) {
+  return text.starts_with(kAgreebenchHeader);
+}
+
+std::optional<BenchDoc> parse_agreebench_output(std::string_view text,
+                                                std::string* error) {
+  const auto fail = [error](const char* why) -> std::optional<BenchDoc> {
+    if (error != nullptr) *error = why;
     return std::nullopt;
+  };
+  if (!is_agreebench_output(text)) return fail("not agreebench output");
+  const auto name_start = kAgreebenchHeader.size();
+  const std::string workload(
+      text.substr(name_start, text.find_first_of(" \n", name_start) - name_start));
+  if (workload.empty()) return fail("the header names no workload");
+
+  BenchDoc out;
+  out.bench = "agreebench";
+  const auto stamp = text.find("\nstamp ");
+  if (stamp == std::string_view::npos) return fail("no stamp line");
+  std::istringstream stamp_line(
+      std::string(text.substr(stamp + 1, text.find('\n', stamp + 1) - stamp - 1)));
+  for (std::string token; stamp_line >> token;) {
+    const auto eq = token.find('=');
+    const std::string key = token.substr(0, eq);
+    if (eq != std::string::npos && (key == "git" || key == "dirty" || key == "build")) {
+      out.context.emplace_back(key, token.substr(eq + 1));
+    }
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_bench_json(buf.str());
+
+  // The result is the last line; a run that died or was cut short has none.
+  std::string_view result = text.substr(0, text.find_last_not_of('\n') + 1);
+  result.remove_prefix(result.find_last_of('\n') + 1);
+  if (!result.starts_with("{\"correct\":")) return fail("no result line");
+  const auto verdict = result.find_first_not_of(' ', std::string_view("{\"correct\":").size());
+  if (verdict == std::string_view::npos || !result.substr(verdict).starts_with("true")) {
+    return fail("the result line says \"correct\": false");
+  }
+  const auto members = object_members(result, "metrics");
+  if (!members || members->empty()) return fail("the result line has no metrics");
+  for (const auto& [name, body] : *members) {
+    const auto fields = obs::flatjson::parse_flat_object(body);
+    if (!fields.contains("value")) return fail("a metric has no value");
+    out.metrics.push_back({.name = workload + "/" + name,
+                           .unit = obs::flatjson::str(fields, "unit"),
+                           .value = obs::flatjson::real(fields, "value"),
+                           .repetitions = 1});
+  }
+  return out;
+}
+
+BenchDoc median_of(std::span<const BenchDoc> docs) {
+  BenchDoc out;
+  if (docs.empty()) return out;
+  out.bench = docs.front().bench;
+  out.context = docs.front().context;
+  std::vector<Stats> values;
+  for (const auto& doc : docs) {
+    for (const auto& m : doc.metrics) {
+      auto it = std::find_if(out.metrics.begin(), out.metrics.end(),
+                             [&](const BenchMetric& o) { return o.name == m.name; });
+      if (it == out.metrics.end()) {
+        out.metrics.push_back({.name = m.name, .unit = m.unit});
+        values.emplace_back();
+        it = std::prev(out.metrics.end());
+      }
+      values[static_cast<std::size_t>(it - out.metrics.begin())].add(m.value);
+    }
+  }
+  for (std::size_t i = 0; i < out.metrics.size(); ++i) {
+    out.metrics[i].value = values[i].percentile(50.0).value_or(0.0);
+    out.metrics[i].repetitions = values[i].count();
+  }
+  return out;
 }
 
 std::optional<std::vector<PhaseRow>> parse_perf_json(std::string_view doc) {
   const auto schema = string_field(doc, "schema");
   if (!schema || *schema != kPerfSchema) return std::nullopt;
-  const auto phases_key = doc.find("\"phases\":{");
-  if (phases_key == std::string_view::npos) return std::nullopt;
-  const auto obj_open = phases_key + std::string_view("\"phases\":").size();
-  const auto obj_close = match_bracket(doc, obj_open);
-  if (obj_close == std::string_view::npos) return std::nullopt;
+  const auto phases = object_members(doc, "phases");
+  if (!phases) return std::nullopt;
 
   std::vector<PhaseRow> rows;
-  std::size_t pos = obj_open + 1;
-  while (pos < obj_close) {
-    const auto name_open = doc.find('"', pos);
-    if (name_open == std::string_view::npos || name_open >= obj_close) break;
-    const auto name_close = doc.find('"', name_open + 1);
-    if (name_close == std::string_view::npos) return std::nullopt;
-    const auto body_open = doc.find('{', name_close + 1);
-    if (body_open == std::string_view::npos) return std::nullopt;
-    const auto body_close = match_bracket(doc, body_open);
-    if (body_close == std::string_view::npos) return std::nullopt;
-    const auto body = doc.substr(body_open, body_close - body_open + 1);
-
+  for (const auto& [name, body] : *phases) {
     PhaseRow row;
-    row.name = std::string(doc.substr(name_open + 1, name_close - name_open - 1));
+    row.name = name;
     const auto count = u64_field(body, "count");
     const auto total = u64_field(body, "total_ns");
     const auto self = u64_field(body, "self_ns");
@@ -237,7 +326,6 @@ std::optional<std::vector<PhaseRow>> parse_perf_json(std::string_view doc) {
       }
     }
     rows.push_back(std::move(row));
-    pos = body_close + 1;
   }
   return rows;
 }
@@ -344,12 +432,26 @@ std::string render_delta_table(std::span<const BenchMetric> current,
       if (regressions != nullptr) regressions->push_back(base.name + " (missing)");
       continue;
     }
-    const double delta =
-        base.value > 0.0 ? (it->value - base.value) / base.value : 0.0;
-    const bool ok = delta <= budget;
+    // Work counts repeat exactly on the simulator, so any change to one is
+    // real; every other metric gets the budget. Above a zero baseline no
+    // budget is left, so any increase regresses.
+    const bool exact = base.unit == "count" || base.unit == "B";
+    const double delta = base.value > 0.0        ? (it->value - base.value) / base.value
+                         : it->value > base.value ? HUGE_VAL
+                                                  : 0.0;
+    const bool ok = exact ? it->value == base.value : delta <= budget;
+    const auto shown = [exact](double v) {
+      char digits[32];
+      std::snprintf(digits, sizeof digits, "%.15g", v);
+      return exact ? std::string(digits) : fmt(v);
+    };
     char buf[32];
-    std::snprintf(buf, sizeof buf, "%+.1f%%", 100.0 * delta);
-    table.row({base.name, base.unit, fmt(base.value), fmt(it->value), buf,
+    if (exact) {
+      std::snprintf(buf, sizeof buf, "%+.3g", it->value - base.value);
+    } else {
+      std::snprintf(buf, sizeof buf, "%+.1f%%", 100.0 * delta);
+    }
+    table.row({base.name, base.unit, shown(base.value), shown(it->value), buf,
                fmt_ok(ok)});
     if (!ok && regressions != nullptr) regressions->push_back(base.name);
   }
@@ -367,37 +469,13 @@ std::string render_delta_table(std::span<const BenchMetric> current,
 // ---------------------------------------------------------------------------
 // Kernel measurement
 
-TimedRate time_rate(const std::function<void()>& fn, double min_sample_s,
-                    int samples) {
-  using Clock = std::chrono::steady_clock;
-  const auto elapsed_s = [](Clock::time_point a, Clock::time_point b) {
-    return std::chrono::duration<double>(b - a).count();
-  };
-  // Calibrate: double the inner repetition count until one sample is well
-  // past min_sample_s (2x margin: a count that lands exactly on the
-  // threshold flips between runs, changing what is measured).
-  std::uint64_t reps = 1;
-  for (;;) {
-    const auto t0 = Clock::now();
-    for (std::uint64_t i = 0; i < reps; ++i) fn();
-    const double s = elapsed_s(t0, Clock::now());
-    if (s >= 2.0 * min_sample_s || reps >= (1ULL << 30)) break;
-    reps *= 2;
-  }
-  Stats per_rep;
-  for (int i = 0; i < samples; ++i) {
-    const auto t0 = Clock::now();
-    for (std::uint64_t r = 0; r < reps; ++r) fn();
-    per_rep.add(elapsed_s(t0, Clock::now()) / static_cast<double>(reps));
-  }
-  // Min, not mean or median: scheduler preemption and frequency dips only
-  // ever INFLATE a sample, so the minimum is the most repeatable estimate of
-  // the code's cost — what a 10%-budget regression gate needs.
-  return TimedRate{.seconds_per_rep = per_rep.summary().min,
-                   .repetitions = reps * static_cast<std::uint64_t>(samples)};
-}
-
 namespace {
+
+/// Seconds per repetition of one kernel and the timed repetitions behind it.
+struct TimedRate {
+  double seconds_per_rep = 0.0;
+  std::uint64_t repetitions = 0;  ///< total timed reps across all samples
+};
 
 std::vector<geo::Vec> random_points(Rng& rng, std::size_t n, std::size_t dim,
                                     double radius) {
@@ -523,8 +601,9 @@ std::vector<BenchMetric> measure_geometry_kernels() {
   std::vector<BenchMetric> out;
   out.reserve(kernels.size());
   for (std::size_t k = 0; k < kernels.size(); ++k) {
-    // Min, not mean or median: noise only ever inflates a sample (see
-    // time_rate).
+    // Min, not mean or median: scheduler preemption and frequency dips only
+    // ever INFLATE a sample, so the minimum is the most repeatable estimate
+    // of the code's cost.
     const TimedRate rate{.seconds_per_rep = per_rep[k].summary().min,
                          .repetitions = reps[k] * kRounds};
     out.push_back(per_point_metric(kernels[k].name, rate, kernels[k].points));

@@ -1,12 +1,12 @@
-// Performance-measurement toolkit shared by the bench binaries and the `hydra
-// perf` subcommand, which is also the CI regression gate:
+// Performance-measurement toolkit behind `hydra perf`, which is also the CI
+// regression gate:
 //
-//   * BenchMetric + the unified bench JSON schema ("hydra-bench-v1"): every
-//     bench that measures time emits the same shape, so one parser, one
-//     delta renderer and one gate cover all of them;
+//   * BenchMetric + the unified bench JSON schema ("hydra-bench-v1"), the
+//     one shape the delta renderer and the gate read;
+//   * parse_agreebench_output(): captured agreebench output as metrics named
+//     "<workload>/<metric>";
 //   * measure_geometry_kernels(): ns/point for each geometry kernel on
-//     fixed, seed-deterministic inputs — the workload behind
-//     `bench_geometry_kernels --json` and `hydra perf`;
+//     fixed, seed-deterministic inputs — the live measurement of `hydra perf`;
 //   * the "hydra-perf-v1" phase-profile parser + report renderer for
 //     profiles written by RunSpec::perf_out (obs::Profiler::to_json()).
 //
@@ -23,19 +23,20 @@
 //                       "self_ns":...,"min_ns":...,"max_ns":...,
 //                       "buckets":[...]},...}}
 //
-// Determinism: metric VALUES are wall clock and vary run to run — that is
-// the point; they live in these side-channel files and are compared against
-// checked-in baselines with a relative budget, never byte-compared. Phase
-// COUNTS in a perf profile are deterministic per (spec, seed) on the
-// simulator backend (tested by test_prof.cpp).
+// Determinism: wall-clock metric VALUES vary run to run; they are compared
+// against checked-in baselines with a relative budget, never byte-compared.
+// Work counts (unit "count" or "B") that agreebench makes deterministic on
+// the simulator are compared exactly. Phase COUNTS in a perf profile are
+// deterministic per (spec, seed) on the simulator backend (tested by
+// test_prof.cpp).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace hydra::harness {
@@ -45,20 +46,26 @@ struct BenchMetric {
   std::string name;             ///< e.g. "geo.hull2d"
   std::string unit;             ///< e.g. "ns/point" — lower is always better
   double value = 0.0;
-  std::uint64_t repetitions = 0;  ///< timed repetitions behind `value`
+  std::uint64_t repetitions = 0;  ///< timed repetitions (or runs) behind `value`
 };
 
-/// Serializes the hydra-bench-v1 document. The context block records
-/// `git describe` and the build type captured at compile time.
+/// The "context" block of a bench document, as ordered key/value pairs.
+using BenchContext = std::vector<std::pair<std::string, std::string>>;
+
+/// Serializes the hydra-bench-v1 document. An empty context records this
+/// build's: `git describe` and the build type, captured at compile time.
 [[nodiscard]] std::string bench_json(std::string_view bench_name,
-                                     std::span<const BenchMetric> metrics);
+                                     std::span<const BenchMetric> metrics,
+                                     const BenchContext& context = {});
 
 /// bench_json() to a file; false (with a log line) on I/O failure.
 bool write_bench_json(const std::string& path, std::string_view bench_name,
-                      std::span<const BenchMetric> metrics);
+                      std::span<const BenchMetric> metrics,
+                      const BenchContext& context = {});
 
 struct BenchDoc {
   std::string bench;
+  BenchContext context;  ///< agreebench's stamp; empty from parse_bench_json()
   std::vector<BenchMetric> metrics;
 };
 
@@ -66,24 +73,29 @@ struct BenchDoc {
 /// input (never throws).
 [[nodiscard]] std::optional<BenchDoc> parse_bench_json(std::string_view doc);
 
-/// Reads and parses a bench JSON file. nullopt on I/O or parse failure.
-[[nodiscard]] std::optional<BenchDoc> load_bench_json(const std::string& path);
+/// True when `text` starts with agreebench's header line
+/// ("agreebench workload=...").
+[[nodiscard]] bool is_agreebench_output(std::string_view text);
 
-/// Min-of-samples timing loop: calibrates an inner repetition count until
-/// one sample comfortably exceeds `min_sample_s`, takes `samples` samples,
-/// and reports the MINIMUM (via harness::Stats::summary()) — noise only ever
-/// inflates a sample, so the minimum is the repeatable estimate a
-/// tight-budget regression gate needs.
-struct TimedRate {
-  double seconds_per_rep = 0.0;
-  std::uint64_t repetitions = 0;  ///< total timed reps across all samples
-};
-[[nodiscard]] TimedRate time_rate(const std::function<void()>& fn,
-                                  double min_sample_s = 0.04, int samples = 9);
+/// Parses one captured agreebench run (its stdout). The header line names
+/// the workload; the final JSON line gives `correct` and every metric at full
+/// precision (the printed `metric` lines round to 6 digits and are not read).
+/// Metrics are named "<workload>/<metric>" with repetitions = 1; the `stamp`
+/// line's git, dirty and build become the context. nullopt, with the reason
+/// in `error`, when the header or result line is missing or malformed or the
+/// result says `"correct": false`.
+[[nodiscard]] std::optional<BenchDoc> parse_agreebench_output(std::string_view text,
+                                                              std::string* error);
+
+/// Merges documents metric by metric: a metric's value is the median of the
+/// documents that carry it (nearest rank, so the lower middle value for an
+/// even count) and its repetitions the number of those documents. Metrics keep their
+/// first-seen order; bench name and context come from the first document.
+[[nodiscard]] BenchDoc median_of(std::span<const BenchDoc> docs);
 
 /// ns/point for every geometry kernel (hull2d, clip, halfspace batch, LP
-/// membership, safe-area 2D/3D) on fixed seed-deterministic inputs. This is
-/// the shared workload of `bench_geometry_kernels --json` and `hydra perf`.
+/// membership, safe-area 2D/3D) on fixed seed-deterministic inputs: the live
+/// measurement of `hydra perf`.
 [[nodiscard]] std::vector<BenchMetric> measure_geometry_kernels();
 
 /// One phase parsed back from a hydra-perf-v1 profile.
@@ -112,10 +124,12 @@ struct PhaseRow {
 [[nodiscard]] std::string render_phase_report(std::vector<PhaseRow> rows,
                                               std::size_t top_k = 0);
 
-/// Per-metric current-vs-baseline table. A metric regresses when
-/// current > baseline * (1 + budget); a baseline metric missing from
-/// `current` also counts (a silently dropped kernel must not pass the gate).
-/// Regressing metric names are appended to `regressions` when non-null.
+/// Per-metric current-vs-baseline table. A work count (baseline unit "count"
+/// or "B") regresses unless current == baseline exactly; any other metric
+/// regresses when current > baseline * (1 + budget), so any value above a
+/// zero baseline does. A baseline metric missing from `current` also counts
+/// (a silently dropped kernel must not pass the gate). Regressing metric
+/// names are appended to `regressions` when non-null.
 [[nodiscard]] std::string render_delta_table(
     std::span<const BenchMetric> current, std::span<const BenchMetric> baseline,
     double budget, std::vector<std::string>* regressions = nullptr);

@@ -78,6 +78,18 @@ TEST(Hull3D, DegenerateInputsRejected) {
     plane.push_back(Vec{rng.next_double(-1, 1), rng.next_double(-1, 1), 0.0});
   }
   EXPECT_FALSE(hull3d_facets(plane).has_value());
+  // Two points, each twice, and a third within 1e-7 of one of them: a
+  // restriction hull of `hydra run --n 6 --ts 1 --ta 1 --dim 3 --network
+  // async-exp --adversary outlier --seed 88`. It passes the initial-simplex
+  // checks, but a face of the simplex joins two equal points, so its normal
+  // is zero and the kernel must decline rather than abort.
+  const std::vector<Vec> near_equal{
+      {6.9329765449801926, -2.018211689486634, 1.8246763671049848},
+      {5.4457400599058019, -1.4575968298886437, 5.3251840879966039},
+      {5.4457401109102648, -1.457596878928598, 5.3251841282763053},
+      {6.9329765449801926, -2.018211689486634, 1.8246763671049848},
+      {5.4457401109102648, -1.457596878928598, 5.3251841282763053}};
+  EXPECT_FALSE(hull3d_facets(near_equal).has_value());
 }
 
 TEST(Hull3D, FacetsAgreeWithLpMembership) {

@@ -1,11 +1,13 @@
 // Targeted robustness tests for attack details the broader suites don't pin
 // explicitly: forged multi-halt votes, SENDs from non-designated senders,
-// and instance-key floods aimed at state exhaustion.
+// instance-key floods aimed at state exhaustion, and outlier inputs that
+// drive the exact D = 3 kernel into degenerate hulls.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "geometry/convex.hpp"
+#include "harness/runner.hpp"
 #include "protocol_test_util.hpp"
 
 namespace hydra::test {
@@ -205,6 +207,27 @@ TEST(Robustness, DuplicateEchoVotesDoNotDoubleCount) {
   for (auto* p : honest) {
     EXPECT_TRUE(p->deliveries.empty());
   }
+}
+
+TEST(Robustness, DegenerateExact3DHullFallsBackToTheLp) {
+  // An outlier run whose estimates come out nearly equal: a restriction hull
+  // of duplicate points (a case of Hull3D.DegenerateInputsRejected) makes
+  // the exact D = 3 kernel decline, and the LP answers; the run must finish
+  // and satisfy D-AA.
+  harness::RunSpec spec;
+  spec.params.n = 6;
+  spec.params.ts = 1;
+  spec.params.ta = 1;
+  spec.params.dim = 3;
+  spec.params.eps = 1e-2;
+  spec.params.delta = 1000;
+  spec.network = harness::Network::kAsyncExponential;
+  spec.adversary = harness::Adversary::kOutlier;
+  spec.corruptions = 1;
+  spec.seed = 88;
+  const auto result = harness::execute(spec);
+  EXPECT_FALSE(result.hit_limit);
+  EXPECT_TRUE(result.verdict.d_aa());
 }
 
 }  // namespace

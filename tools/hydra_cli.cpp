@@ -14,9 +14,10 @@
 //                             export it as Chrome trace JSON; with --merge,
 //                             stitch per-process traces first
 //   hydra perf   [options]    measure the geometry kernels (ns/point) or
-//                             read a bench JSON, and gate it against a
-//                             baseline; or render --perf-json phase profiles
-//                             (glob/comma lists merge into one table)
+//                             read a bench JSON or captured agreebench
+//                             output, and gate it against a baseline; or
+//                             render --perf-json phase profiles (glob/comma
+//                             lists merge into one table)
 //   hydra top    [options]    render the latest hydra-stats-v1 heartbeats of
 //                             a live (or finished) run's --stats-json file
 //   hydra list                print the accepted option values
@@ -124,16 +125,20 @@
 //   --json PATH           also write the measurements as hydra-bench-v1 JSON
 //   --baseline PATH       compare against a checked-in bench JSON (e.g.
 //                         bench/baselines/BENCH_geometry.json); prints the
-//                         delta table and exits 1 past --budget (a baseline
-//                         metric missing from the measurement also fails)
+//                         delta table and exits 1 on a regression: a count
+//                         (unit count or B) off its baseline at all, another
+//                         metric past --budget, or a baseline metric missing
 //   --budget FRAC         relative regression budget (default 0.10)
 //   --inflate F           multiply the measured values by F first; CI
-//                         requires `--inflate 1.25` against the baseline
-//                         itself to exit 1 (the gate can fail)
-//   --input PATHS         the document's schema selects the mode. One
-//                         hydra-bench-v1 file (any bench's --json) stands in
-//                         for the kernel measurement, so the options above
-//                         gate it without re-measuring. hydra-perf-v1 phase
+//                         requires the baselines inflated against themselves
+//                         to exit 1 (the gate can fail)
+//   --input PATHS         the documents select the mode. Captured agreebench
+//                         outputs (<workload>/<metric>, the median over the
+//                         runs, their stamp as the --json context; a run
+//                         without a passing result line is an error) or one
+//                         hydra-bench-v1 file stand in for the kernel
+//                         measurement, so the options above gate them
+//                         without re-measuring. hydra-perf-v1 phase
 //                         profiles render as a self/total attribution table
 //                         instead; a glob and/or comma list
 //                         ('perf.p*.json') merges into one table
@@ -161,6 +166,7 @@
 #include <iostream>
 #include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -473,6 +479,15 @@ Options parse(int argc, char** argv) {
   }
   if (spec.corruptions >= spec.params.n) usage("corrupt must be < n");
   return opts;
+}
+
+/// The whole content of `path`; nullopt when it cannot be read.
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return std::nullopt;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
 }
 
 /// Expands a comma-separated list of paths and/or glob patterns into sorted
@@ -837,14 +852,12 @@ int cmd_report(int argc, char** argv) {
 
   std::string metrics;
   if (const auto it = kv.find("metrics"); it != kv.end()) {
-    std::ifstream in(it->second);
-    if (!in) {
+    auto text = read_file(it->second);
+    if (!text) {
       std::fprintf(stderr, "error: cannot read metrics %s\n", it->second.c_str());
       return 1;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    metrics = buffer.str();
+    metrics = std::move(*text);
   }
 
   obs::ReportOptions options;
@@ -931,13 +944,42 @@ void merge_phase_rows(std::map<std::string, harness::PhaseRow>& acc,
 int cmd_perf(int argc, char** argv) {
   const auto kv = parse_kv(argc, argv);
 
-  // The document's schema selects the mode: one hydra-bench-v1 --input file
-  // stands in for the kernel measurement below, so CI gates bench artifacts
-  // against their baselines without re-measuring.
+  // The documents select the mode: captured agreebench output or one
+  // hydra-bench-v1 file stands in for the kernel measurement below, so CI
+  // gates bench artifacts against their baselines without re-measuring.
   const auto input = kv.find("input");
   const auto paths =
       input != kv.end() ? expand_inputs(input->second) : std::vector<std::string>{};
-  auto bench = paths.size() == 1 ? load_bench_json(paths[0]) : std::nullopt;
+  std::vector<std::string> texts;
+  for (const auto& path : paths) {
+    auto text = read_file(path);
+    if (!text) {
+      std::fprintf(stderr, "error: cannot read %s\n", path.c_str());
+      return 1;
+    }
+    texts.push_back(std::move(*text));
+  }
+  std::optional<BenchDoc> bench;
+  if (!texts.empty() && is_agreebench_output(texts[0])) {
+    std::vector<BenchDoc> runs;
+    for (std::size_t i = 0; i < texts.size(); ++i) {
+      std::string error;
+      auto run = parse_agreebench_output(texts[i], &error);
+      if (!run) {
+        std::fprintf(stderr, "error: %s: %s\n", paths[i].c_str(), error.c_str());
+        return 1;
+      }
+      if (!runs.empty() && run->context != runs[0].context) {
+        std::fprintf(stderr, "error: %s stamps a different build than %s\n",
+                     paths[i].c_str(), paths[0].c_str());
+        return 1;
+      }
+      runs.push_back(std::move(*run));
+    }
+    bench = median_of(runs);
+  } else if (texts.size() == 1) {
+    bench = parse_bench_json(texts[0]);
+  }
 
   // Phase-profile mode: render --perf-json documents. Several files (a glob
   // or comma list, e.g. every process of a distributed run or every seed of
@@ -949,11 +991,11 @@ int cmd_perf(int argc, char** argv) {
       return 1;
     }
     std::map<std::string, harness::PhaseRow> acc;
-    for (const auto& path : paths) {
-      const auto rows = load_perf_json(path);
+    for (std::size_t i = 0; i < texts.size(); ++i) {
+      const auto rows = parse_perf_json(texts[i]);
       if (!rows) {
         std::fprintf(stderr, "error: %s is not a hydra-perf-v1 document\n",
-                     path.c_str());
+                     paths[i].c_str());
         return 1;
       }
       merge_phase_rows(acc, *rows);
@@ -975,13 +1017,14 @@ int cmd_perf(int argc, char** argv) {
   // Kernel mode: measure the geometry kernels on fixed inputs, unless a
   // bench document stands in for the measurement.
   const std::string bench_name = bench ? bench->bench : "geometry";
+  const BenchContext context = bench ? bench->context : BenchContext{};
   auto metrics = bench ? std::move(bench->metrics) : measure_geometry_kernels();
   // --inflate F self-tests the gate: CI inflates a file against itself and
   // requires exit 1, proving the gate can fail before trusting its passes.
   if (const auto it = kv.find("inflate"); it != kv.end()) {
     const double inflate = std::strtod(it->second.c_str(), nullptr);
     for (auto& m : metrics) m.value *= inflate;
-    std::printf("(self-test: current values inflated by %.2fx)\n", inflate);
+    std::printf("(self-test: current values inflated by %gx)\n", inflate);
   }
   Table table({"metric", "unit", "value", "repetitions"});
   for (const auto& m : metrics) {
@@ -990,10 +1033,11 @@ int cmd_perf(int argc, char** argv) {
   table.print();
 
   if (const auto it = kv.find("json"); it != kv.end()) {
-    if (!write_bench_json(it->second, bench_name, metrics)) return 1;
+    if (!write_bench_json(it->second, bench_name, metrics, context)) return 1;
   }
   if (const auto it = kv.find("baseline"); it != kv.end()) {
-    const auto baseline = load_bench_json(it->second);
+    const auto text = read_file(it->second);
+    const auto baseline = text ? parse_bench_json(*text) : std::nullopt;
     if (!baseline) {
       std::fprintf(stderr, "error: %s is not a hydra-bench-v1 document\n",
                    it->second.c_str());
