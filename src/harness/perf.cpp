@@ -16,7 +16,6 @@
 #include "geometry/vec.hpp"
 #include "harness/stats.hpp"
 #include "harness/table.hpp"
-#include "obs/flatjson.hpp"
 #include "obs/json.hpp"
 
 // Build provenance for the bench JSON context block; the harness CMakeLists
@@ -87,129 +86,24 @@ bool write_bench_json(const std::string& path, std::string_view bench_name,
 }
 
 // ---------------------------------------------------------------------------
-// Parsing helpers. The documents are machine-written (obs::JsonWriter — no
-// pretty-printing, keys in known order, names without escapes), so targeted
-// extraction is enough: find the container key, brace/bracket-match each
-// element, hand flat fragments to obs::flatjson. Anything unexpected yields
-// nullopt rather than a partial result.
+// Readers
 
-namespace {
-
-/// Extent of the balanced {...} or [...] starting at `open`, skipping string
-/// contents. npos on imbalance.
-std::size_t match_bracket(std::string_view doc, std::size_t open) {
-  const char oc = doc[open];
-  const char cc = oc == '{' ? '}' : ']';
-  int depth = 0;
-  bool in_string = false;
-  for (std::size_t i = open; i < doc.size(); ++i) {
-    const char c = doc[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == oc || (oc == '{' && c == '[')) {
-      ++depth;
-    } else if (c == cc || (oc == '{' && c == ']')) {
-      --depth;
-      if (depth == 0 && c == cc) return i;
-    }
-  }
-  return std::string_view::npos;
-}
-
-/// Value of a top-level string field ("key":"value"); nullopt if absent.
-std::optional<std::string> string_field(std::string_view doc,
-                                        std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":\"";
-  const auto pos = doc.find(needle);
-  if (pos == std::string_view::npos) return std::nullopt;
-  const auto start = pos + needle.size();
-  const auto end = doc.find('"', start);
-  if (end == std::string_view::npos) return std::nullopt;
-  return std::string(doc.substr(start, end - start));
-}
-
-/// Value of an unsigned integer field ("key":123) inside a flat fragment.
-std::optional<std::uint64_t> u64_field(std::string_view body,
-                                       std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const auto pos = body.find(needle);
-  if (pos == std::string_view::npos) return std::nullopt;
-  const std::string digits(body.substr(pos + needle.size()));
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(digits.c_str(), &end, 10);
-  if (end == digits.c_str()) return std::nullopt;
-  return v;
-}
-
-/// The members of the object after `"key":` whose values are objects, as
-/// (name, balanced {...} body) pairs in document order. nullopt when the key
-/// is absent or a bracket does not balance.
-std::optional<std::vector<std::pair<std::string, std::string_view>>> object_members(
-    std::string_view doc, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const auto key_pos = doc.find(needle);
-  if (key_pos == std::string_view::npos) return std::nullopt;
-  const auto obj_open = doc.find_first_not_of(' ', key_pos + needle.size());
-  if (obj_open == std::string_view::npos || doc[obj_open] != '{') return std::nullopt;
-  const auto obj_close = match_bracket(doc, obj_open);
-  if (obj_close == std::string_view::npos) return std::nullopt;
-
-  std::vector<std::pair<std::string, std::string_view>> members;
-  std::size_t pos = obj_open + 1;
-  while (pos < obj_close) {
-    const auto name_open = doc.find('"', pos);
-    if (name_open == std::string_view::npos || name_open >= obj_close) break;
-    const auto name_close = doc.find('"', name_open + 1);
-    if (name_close == std::string_view::npos) return std::nullopt;
-    const auto body_open = doc.find('{', name_close + 1);
-    if (body_open == std::string_view::npos) return std::nullopt;
-    const auto body_close = match_bracket(doc, body_open);
-    if (body_close == std::string_view::npos) return std::nullopt;
-    members.emplace_back(doc.substr(name_open + 1, name_close - name_open - 1),
-                         doc.substr(body_open, body_close - body_open + 1));
-    pos = body_close + 1;
-  }
-  return members;
-}
-
-}  // namespace
-
-std::optional<BenchDoc> parse_bench_json(std::string_view doc) {
-  const auto schema = string_field(doc, "schema");
-  if (!schema || *schema != kBenchSchema) return std::nullopt;
+std::optional<BenchDoc> parse_bench_json(std::string_view text) {
+  const auto doc = obs::parse_json(text);
+  if (!doc || doc->str("schema") != kBenchSchema) return std::nullopt;
+  const obs::JsonValue& metrics = (*doc)["metrics"];
+  if (metrics.kind() != obs::JsonValue::Kind::kArray) return std::nullopt;
   BenchDoc out;
-  if (const auto bench = string_field(doc, "bench")) out.bench = *bench;
-
-  const auto metrics_key = doc.find("\"metrics\":[");
-  if (metrics_key == std::string_view::npos) return std::nullopt;
-  const auto array_open = metrics_key + std::string_view("\"metrics\":").size();
-  const auto array_close = match_bracket(doc, array_open);
-  if (array_close == std::string_view::npos) return std::nullopt;
-
-  std::size_t pos = array_open + 1;
-  while (pos < array_close) {
-    const auto obj_open = doc.find('{', pos);
-    if (obj_open == std::string_view::npos || obj_open >= array_close) break;
-    const auto obj_close = match_bracket(doc, obj_open);
-    if (obj_close == std::string_view::npos) return std::nullopt;
-    const auto fields = obs::flatjson::parse_flat_object(
-        doc.substr(obj_open, obj_close - obj_open + 1));
-    BenchMetric m;
-    m.name = obs::flatjson::str(fields, "name");
-    m.unit = obs::flatjson::str(fields, "unit");
-    m.value = obs::flatjson::real(fields, "value");
-    m.repetitions = obs::flatjson::num(fields, "repetitions");
-    if (m.name.empty()) return std::nullopt;
-    out.metrics.push_back(std::move(m));
-    pos = obj_close + 1;
+  out.bench = doc->str("bench");
+  for (const auto& [key, value] : (*doc)["context"].members()) {
+    out.context.emplace_back(key, value.text());
+  }
+  for (const auto& m : metrics.items()) {
+    if (m.str("name").empty()) return std::nullopt;
+    out.metrics.push_back({.name = m.str("name"),
+                           .unit = m.str("unit"),
+                           .value = m.real("value"),
+                           .repetitions = m.u64("repetitions")});
   }
   return out;
 }
@@ -245,21 +139,23 @@ std::optional<BenchDoc> parse_agreebench_output(std::string_view text,
   }
 
   // The result is the last line; a run that died or was cut short has none.
-  std::string_view result = text.substr(0, text.find_last_not_of('\n') + 1);
-  result.remove_prefix(result.find_last_of('\n') + 1);
-  if (!result.starts_with("{\"correct\":")) return fail("no result line");
-  const auto verdict = result.find_first_not_of(' ', std::string_view("{\"correct\":").size());
-  if (verdict == std::string_view::npos || !result.substr(verdict).starts_with("true")) {
+  std::string_view last = text.substr(0, text.find_last_not_of('\n') + 1);
+  last.remove_prefix(last.find_last_of('\n') + 1);
+  const auto result = obs::parse_json(last);
+  if (!result || (*result)["correct"].kind() != obs::JsonValue::Kind::kBool) {
+    return fail("no result line");
+  }
+  if (result->str("correct") != "true") {
     return fail("the result line says \"correct\": false");
   }
-  const auto members = object_members(result, "metrics");
-  if (!members || members->empty()) return fail("the result line has no metrics");
-  for (const auto& [name, body] : *members) {
-    const auto fields = obs::flatjson::parse_flat_object(body);
-    if (!fields.contains("value")) return fail("a metric has no value");
+  const auto& metrics = (*result)["metrics"].members();
+  if (metrics.empty()) return fail("the result line has no metrics");
+  for (const auto& [name, body] : metrics) {
+    const auto value = body["value"].as_double();
+    if (!value) return fail("a metric has no value");
     out.metrics.push_back({.name = workload + "/" + name,
-                           .unit = obs::flatjson::str(fields, "unit"),
-                           .value = obs::flatjson::real(fields, "value"),
+                           .unit = body.str("unit"),
+                           .value = *value,
                            .repetitions = 1});
   }
   return out;
@@ -290,42 +186,25 @@ BenchDoc median_of(std::span<const BenchDoc> docs) {
   return out;
 }
 
-std::optional<std::vector<PhaseRow>> parse_perf_json(std::string_view doc) {
-  const auto schema = string_field(doc, "schema");
-  if (!schema || *schema != kPerfSchema) return std::nullopt;
-  const auto phases = object_members(doc, "phases");
-  if (!phases) return std::nullopt;
+std::optional<std::vector<PhaseRow>> parse_perf_json(std::string_view text) {
+  const auto doc = obs::parse_json(text);
+  if (!doc || doc->str("schema") != kPerfSchema) return std::nullopt;
+  const obs::JsonValue& phases = (*doc)["phases"];
+  if (phases.kind() != obs::JsonValue::Kind::kObject) return std::nullopt;
 
   std::vector<PhaseRow> rows;
-  for (const auto& [name, body] : *phases) {
-    PhaseRow row;
-    row.name = name;
-    const auto count = u64_field(body, "count");
-    const auto total = u64_field(body, "total_ns");
-    const auto self = u64_field(body, "self_ns");
+  for (const auto& [name, body] : phases.members()) {
+    const auto count = body["count"].as_u64();
+    const auto total = body["total_ns"].as_u64();
+    const auto self = body["self_ns"].as_u64();
     if (!count || !total || !self) return std::nullopt;
-    row.count = *count;
-    row.total_ns = *total;
-    row.self_ns = *self;
-    row.min_ns = u64_field(body, "min_ns").value_or(0);
-    row.max_ns = u64_field(body, "max_ns").value_or(0);
-    const auto buckets_key = body.find("\"buckets\":[");
-    if (buckets_key != std::string_view::npos) {
-      const auto arr_open = buckets_key + std::string_view("\"buckets\":").size();
-      const auto arr_close = match_bracket(body, arr_open);
-      if (arr_close == std::string_view::npos) return std::nullopt;
-      std::string elems(body.substr(arr_open + 1, arr_close - arr_open - 1));
-      const char* p = elems.c_str();
-      while (*p != '\0') {
-        char* end = nullptr;
-        const std::uint64_t v = std::strtoull(p, &end, 10);
-        if (end == p) break;
-        row.buckets.push_back(v);
-        p = end;
-        while (*p == ',' || *p == ' ') ++p;
-      }
-    }
-    rows.push_back(std::move(row));
+    rows.push_back({.name = name,
+                    .count = *count,
+                    .total_ns = *total,
+                    .self_ns = *self,
+                    .min_ns = body.u64("min_ns"),
+                    .max_ns = body.u64("max_ns"),
+                    .buckets = body["buckets"].u64s()});
   }
   return rows;
 }

@@ -65,12 +65,12 @@ bool write_bench_json(const std::string& path, std::string_view bench_name,
 
 struct BenchDoc {
   std::string bench;
-  BenchContext context;  ///< agreebench's stamp; empty from parse_bench_json()
+  BenchContext context;  ///< the document's context block, or agreebench's stamp
   std::vector<BenchMetric> metrics;
 };
 
-/// Parses a hydra-bench-v1 document. nullopt on schema mismatch or malformed
-/// input (never throws).
+/// Parses a hydra-bench-v1 document, context included. nullopt on schema
+/// mismatch or malformed input (never throws).
 [[nodiscard]] std::optional<BenchDoc> parse_bench_json(std::string_view doc);
 
 /// True when `text` starts with agreebench's header line

@@ -297,8 +297,6 @@ void write_metrics_json(const RunSpec& spec, const RunResult& result,
   w.end_object();
 
   // Per-party progress (thread backend; arrays empty on the simulator).
-  // Scalars first, then numeric arrays only — the block stays parseable by
-  // obs/report.cpp's flat-object extraction (no nested '}').
   w.key("progress");
   w.begin_object();
   w.kv("backend", spec.backend);
@@ -325,9 +323,7 @@ void write_metrics_json(const RunSpec& spec, const RunResult& result,
   w.end_object();
 
   // Socket-transport link health; omitted entirely when all-zero so
-  // sim/threads metrics stay byte-identical to previous releases. Contains
-  // arrays, so flat-object readers must use the array-aware parser
-  // (obs/flatjson.hpp parse_object_arrays).
+  // sim/threads metrics stay byte-identical to previous releases.
   const net::TransportHealth& th = result.transport_health;
   if (th.any()) {
     w.key("transport_health");

@@ -1,20 +1,14 @@
 #include "obs/convert.hpp"
 
 #include <cstdint>
-#include <map>
 #include <set>
 #include <string>
 #include <string_view>
 
-#include "obs/flatjson.hpp"
 #include "obs/json.hpp"
 
 namespace hydra::obs {
 namespace {
-
-using flatjson::num;
-using flatjson::parse_flat_object;
-using flatjson::str;
 
 /// Emits the shared prefix of one traceEvents entry.
 void event_header(JsonWriter& w, std::string_view name, std::string_view ph,
@@ -40,70 +34,68 @@ std::size_t chrome_trace_from_jsonl(std::istream& in, std::ostream& out) {
   std::set<std::int64_t> tids;
   std::string line;
   while (std::getline(in, line)) {
-    const auto kv = parse_flat_object(line);
-    const std::string ev = str(kv, "ev");
-    if (ev.empty()) continue;
-    const std::int64_t t = num(kv, "t");
+    const JsonValue kv = parse_json(line).value_or(JsonValue{});
+    const std::string& ev = kv.str("ev");
+    const std::int64_t t = kv.i64("t");
 
     if (ev == "send" || ev == "deliver") {
-      const std::int64_t tid = ev == "send" ? num(kv, "from") : num(kv, "to");
+      const std::int64_t tid = ev == "send" ? kv.i64("from") : kv.i64("to");
       tids.insert(tid);
-      const std::string name = ev + " tag" + str(kv, "tag") + " k" + str(kv, "kind");
+      const std::string name = ev + " tag" + kv.str("tag") + " k" + kv.str("kind");
       event_header(w, name, "i", t, tid);
       w.kv("s", "t");
       w.key("args");
       w.begin_object();
-      w.kv("from", num(kv, "from"));
-      w.kv("to", num(kv, "to"));
-      w.kv("tag", num(kv, "tag"));
-      w.kv("a", num(kv, "a"));
-      w.kv("b", num(kv, "b"));
-      w.kv("kind", num(kv, "kind"));
-      w.kv("bytes", num(kv, "bytes"));
+      w.kv("from", kv.i64("from"));
+      w.kv("to", kv.i64("to"));
+      w.kv("tag", kv.i64("tag"));
+      w.kv("a", kv.i64("a"));
+      w.kv("b", kv.i64("b"));
+      w.kv("kind", kv.i64("kind"));
+      w.kv("bytes", kv.i64("bytes"));
       w.end_object();
       w.end_object();
     } else if (ev == "state") {
-      const std::int64_t tid = num(kv, "party");
+      const std::int64_t tid = kv.i64("party");
       tids.insert(tid);
-      event_header(w, str(kv, "layer") + ":" + str(kv, "what"), "i", t, tid);
+      event_header(w, kv.str("layer") + ":" + kv.str("what"), "i", t, tid);
       w.kv("s", "t");
       w.key("args");
       w.begin_object();
-      w.kv("a", num(kv, "a"));
-      w.kv("b", num(kv, "b"));
+      w.kv("a", kv.i64("a"));
+      w.kv("b", kv.i64("b"));
       w.end_object();
       w.end_object();
     } else if (ev == "round_start" || ev == "round_end") {
-      const std::int64_t tid = num(kv, "party");
+      const std::int64_t tid = kv.i64("party");
       tids.insert(tid);
-      event_header(w, "it " + str(kv, "it"), ev == "round_start" ? "B" : "E", t, tid);
+      event_header(w, "it " + kv.str("it"), ev == "round_start" ? "B" : "E", t, tid);
       w.key("args");
       w.begin_object();
-      w.kv("it", num(kv, "it"));
+      w.kv("it", kv.i64("it"));
       w.end_object();
       w.end_object();
     } else if (ev == "scalar") {
-      const std::int64_t tid = num(kv, "party");
+      const std::int64_t tid = kv.i64("party");
       tids.insert(tid);
-      const std::string name = str(kv, "name") + " p" + str(kv, "party");
+      const std::string name = kv.str("name") + " p" + kv.str("party");
       event_header(w, name, "C", t, tid);
       w.key("args");
       w.begin_object();
-      const auto it = kv.find("value");
-      w.kv("value", it == kv.end() ? 0.0 : std::strtod(it->second.c_str(), nullptr));
+      w.kv("value", kv.real("value"));
       w.end_object();
       w.end_object();
     } else if (ev == "invariant.violation") {
-      const std::int64_t tid = num(kv, "party");
+      const std::int64_t tid = kv.i64("party");
       tids.insert(tid);
-      event_header(w, "VIOLATION " + str(kv, "monitor"), "i", t, tid);
+      event_header(w, "VIOLATION " + kv.str("monitor"), "i", t, tid);
       w.kv("s", "g");  // global scope: violations should jump out in the UI
       w.key("args");
       w.begin_object();
-      w.kv("monitor", str(kv, "monitor"));
-      w.kv("it", num(kv, "it"));
-      w.kv("cause", num(kv, "cause"));
-      w.kv("detail", str(kv, "detail"));
+      w.kv("monitor", kv.str("monitor"));
+      w.kv("it", kv.i64("it"));
+      w.kv("cause", kv.i64("cause"));
+      w.kv("detail", kv.str("detail"));
       w.end_object();
       w.end_object();
     } else if (ev == "log") {
@@ -111,8 +103,8 @@ std::size_t chrome_trace_from_jsonl(std::istream& in, std::ostream& out) {
       w.kv("s", "g");
       w.key("args");
       w.begin_object();
-      w.kv("level", num(kv, "level"));
-      w.kv("msg", str(kv, "msg"));
+      w.kv("level", kv.i64("level"));
+      w.kv("msg", kv.str("msg"));
       w.end_object();
       w.end_object();
     } else {

@@ -12,7 +12,6 @@
 #include "domain/domain.hpp"
 #include "geometry/vec.hpp"
 #include "obs/context.hpp"
-#include "obs/flatjson.hpp"
 #include "obs/json.hpp"
 #include "obs/monitor.hpp"
 
@@ -21,14 +20,16 @@ namespace {
 
 struct Event {
   std::string raw;  ///< the original line, emitted verbatim
-  std::map<std::string, std::string> kv;
   Time t = 0;
+  std::size_t line = 0;  ///< 1-based line number in its file
+  JsonValue kv;
 };
 
 struct Stream {
   std::uint32_t proc = 0;
   std::string meta_raw;
-  std::map<std::string, std::string> meta;
+  JsonValue meta;
+  std::size_t meta_line = 0;
   std::vector<Event> events;
   bool has_end = false;
   bool complete = false;
@@ -45,23 +46,6 @@ std::string format_err(const char* fmt, const std::string& a,
   return buf;
 }
 
-/// Splits the balanced "[[...],[...]]" capture of an obc `pairs` value into
-/// its top-level elements (each itself a "[...]" capture).
-std::vector<std::string> split_top_level(std::string_view array_text) {
-  std::vector<std::string> out;
-  int depth = 0;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i < array_text.size(); ++i) {
-    const char c = array_text[i];
-    if (c == '[') {
-      if (++depth == 2) start = i;
-    } else if (c == ']') {
-      if (--depth == 1) out.emplace_back(array_text.substr(start, i - start + 1));
-    }
-  }
-  return out;
-}
-
 /// The merge's tolerant line loader: parse failures (a line torn by a kill,
 /// or junk) are skipped and counted, never fatal — a partial trace from a
 /// SIGTERM'd process must still merge.
@@ -73,37 +57,35 @@ bool load_stream(const std::string& path, Stream& s, std::size_t& skipped,
     return false;
   }
   std::string line;
-  while (std::getline(in, line)) {
+  for (std::size_t line_no = 1; std::getline(in, line); ++line_no) {
     if (line.empty()) continue;
-    auto kv = flatjson::parse_object_arrays(line);
-    if (kv.empty()) {
+    auto kv = parse_json(line);
+    if (!kv || kv->kind() != JsonValue::Kind::kObject) {
       ++skipped;
       continue;
     }
-    const std::string ev = flatjson::str(kv, "ev");
+    const std::string ev = kv->str("ev");
     if (ev == "meta") {
-      if (!s.meta.empty()) {
+      if (!s.meta_raw.empty()) {
         error = format_err("trace %s has more than one meta event", path);
         return false;
       }
       s.meta_raw = line;
-      s.meta = std::move(kv);
-      s.proc = static_cast<std::uint32_t>(flatjson::num(s.meta, "proc"));
+      s.meta = std::move(*kv);
+      s.meta_line = line_no;
+      s.proc = static_cast<std::uint32_t>(s.meta.u64("proc"));
       continue;
     }
     if (ev == "end") {
       s.has_end = true;
-      s.complete = flatjson::num(kv, "complete") != 0;
-      s.quiescent = flatjson::num(kv, "quiescent") != 0;
+      s.complete = kv->i64("complete") != 0;
+      s.quiescent = kv->i64("quiescent") != 0;
       continue;
     }
-    Event e;
-    e.t = flatjson::num(kv, "t");
-    e.raw = line;
-    e.kv = std::move(kv);
-    s.events.push_back(std::move(e));
+    const Time t = kv->i64("t");
+    s.events.push_back(Event{line, t, line_no, std::move(*kv)});
   }
-  if (s.meta.empty()) {
+  if (s.meta_raw.empty()) {
     error = format_err(
         "trace %s has no meta event — not a merge-able hydra trace "
         "(re-run with --trace-out on a current build)",
@@ -111,6 +93,45 @@ bool load_stream(const std::string& path, Stream& s, std::size_t& skipped,
     return false;
   }
   return true;
+}
+
+/// What the re-evaluation relies on, checked before it runs: the meta line
+/// lists one honest flag per party, every party id is below n, and every
+/// coordinate vector has dim entries. Without this, a hand-edited n would
+/// size the monitors' per-party tables and a short vector would reach the
+/// geometry kernels. Returns the first failure as "path:line: what".
+std::string check_stream(const std::string& path, const Stream& s) {
+  const std::uint64_t n = s.meta.u64("n");
+  const std::uint64_t dim = s.meta.u64("dim");
+  const std::string bounds = "n=" + std::to_string(n) + ", dim=" + std::to_string(dim);
+  const auto at = [&](std::size_t line, const std::string& what) {
+    return path + ":" + std::to_string(line) + ": " + what + " (" + bounds + ")";
+  };
+  const auto party_ok = [n](const JsonValue& id) { return id.as_u64().value_or(n) < n; };
+  const auto sized = [dim](const JsonValue& v, std::size_t lead) {
+    return v.kind() == JsonValue::Kind::kArray && v.items().size() == lead + dim;
+  };
+  if (s.meta["honest"].items().size() != n) {
+    return at(s.meta_line, "the meta line's honest array does not list n parties");
+  }
+  for (const Event& e : s.events) {
+    for (const auto& [key, id] : e.kv.members()) {
+      if ((key == "from" || key == "to" || key == "party") && !party_ok(id)) {
+        return at(e.line, key + " " + id.text() + " is not a party id below n");
+      }
+    }
+    const std::string& ev = e.kv.str("ev");
+    if ((ev == "input" || ev == "value") && !sized(e.kv["v"], 0)) {
+      return at(e.line, ev + " vector v does not have dim coordinates");
+    }
+    if (ev != "obc") continue;
+    for (const JsonValue& pair : e.kv["pairs"].items()) {
+      if (!sized(pair, 1) || !party_ok(pair.items()[0])) {
+        return at(e.line, "obc pair is not [party id below n, dim coordinates]");
+      }
+    }
+  }
+  return {};
 }
 
 /// Fields every process must agree on; a mismatch means the traces are from
@@ -131,6 +152,7 @@ MergeResult merge_traces(const std::vector<std::string>& paths) {
     if (!load_stream(paths[i], streams[i], res.skipped_lines, res.error)) {
       return res;
     }
+    if (res.error = check_stream(paths[i], streams[i]); !res.ok()) return res;
   }
   res.files = streams.size();
 
@@ -148,12 +170,11 @@ MergeResult merge_traces(const std::vector<std::string>& paths) {
   }
   for (std::size_t i = 1; i < streams.size(); ++i) {
     for (const char* key : kSpecKeys) {
-      if (flatjson::str(streams[i].meta, key) !=
-          flatjson::str(streams[0].meta, key)) {
+      if (streams[i].meta.str(key) != streams[0].meta.str(key)) {
         res.error = format_err(
             "meta mismatch on \"%s\": the traces are from different runs "
             "(value %s differs from the first file's)",
-            key, flatjson::str(streams[i].meta, key));
+            key, streams[i].meta.str(key));
         return res;
       }
     }
@@ -179,8 +200,8 @@ MergeResult merge_traces(const std::vector<std::string>& paths) {
   std::set<std::uint64_t> all_send_ids;
   for (const Stream& s : streams) {
     for (const Event& e : s.events) {
-      if (flatjson::str(e.kv, "ev") == "send") {
-        if (const auto id = flatjson::unum(e.kv, "id"); id != 0) {
+      if (e.kv.str("ev") == "send") {
+        if (const auto id = e.kv.u64("id"); id != 0) {
           all_send_ids.insert(id);
         }
       }
@@ -206,8 +227,8 @@ MergeResult merge_traces(const std::vector<std::string>& paths) {
 
   const auto head_blocked = [&](const Stream& s) {
     const Event& e = s.events[s.head];
-    if (flatjson::str(e.kv, "ev") != "deliver") return false;
-    const auto cause = flatjson::unum(e.kv, "cause");
+    if (e.kv.str("ev") != "deliver") return false;
+    const auto cause = e.kv.u64("cause");
     if (cause == 0 || emitted_sends.contains(cause)) return false;
     return all_send_ids.contains(cause);
   };
@@ -236,13 +257,13 @@ MergeResult merge_traces(const std::vector<std::string>& paths) {
     const Event& e = s.events[s.head];
     ++s.head;
 
-    const std::string ev = flatjson::str(e.kv, "ev");
+    const std::string& ev = e.kv.str("ev");
     if (ev == "send") {
-      if (const auto id = flatjson::unum(e.kv, "id"); id != 0) {
+      if (const auto id = e.kv.u64("id"); id != 0) {
         emitted_sends.insert(id);
       }
     } else if (ev == "deliver") {
-      const auto cause = flatjson::unum(e.kv, "cause");
+      const auto cause = e.kv.u64("cause");
       if (cause != 0 && !emitted_sends.contains(cause)) {
         orphaned.insert(cause);
       }
@@ -258,41 +279,36 @@ MergeResult merge_traces(const std::vector<std::string>& paths) {
   res.orphans = orphaned.size();
 
   // ---- global monitor re-evaluation over the merged timeline -------------
-  const std::string mode_str = flatjson::str(streams[0].meta, "mode");
-  const auto mode = parse_monitor_mode(mode_str);
+  const auto mode = parse_monitor_mode(streams[0].meta.str("mode"));
   if (res.complete && mode && *mode != MonitorMode::kOff) {
     const auto& meta = streams[0].meta;
     MonitorHost::Config cfg;
     cfg.mode = MonitorMode::kRecord;  // re-runs judge, never abort
-    cfg.n = static_cast<std::size_t>(flatjson::num(meta, "n"));
-    cfg.ts = static_cast<std::size_t>(flatjson::num(meta, "ts"));
-    cfg.ta = static_cast<std::size_t>(flatjson::num(meta, "ta"));
-    cfg.dim = static_cast<std::size_t>(flatjson::num(meta, "dim"));
-    cfg.eps = flatjson::real(meta, "eps");
-    cfg.contraction_factor = flatjson::real(meta, "contraction");
-    cfg.hull_tol = flatjson::real(meta, "hull_tol");
+    cfg.n = static_cast<std::size_t>(meta.u64("n"));
+    cfg.ts = static_cast<std::size_t>(meta.u64("ts"));
+    cfg.ta = static_cast<std::size_t>(meta.u64("ta"));
+    cfg.dim = static_cast<std::size_t>(meta.u64("dim"));
+    cfg.eps = meta.real("eps");
+    cfg.contraction_factor = meta.real("contraction");
+    cfg.hull_tol = meta.real("hull_tol");
     // Absent "domain" key = pre-domain-layer trace = Euclidean (nullptr).
-    if (const auto dom_name = flatjson::str(meta, "domain"); !dom_name.empty()) {
+    if (const auto& dom_name = meta.str("domain"); !dom_name.empty()) {
       cfg.domain = hydra::domain::find(dom_name);
     }
-    cfg.budget.msgs_fixed = flatjson::unum(meta, "msgs_fixed");
-    cfg.budget.msgs_per_iteration = flatjson::unum(meta, "msgs_per_it");
-    cfg.budget.bytes_fixed = flatjson::unum(meta, "bytes_fixed");
-    cfg.budget.bytes_per_iteration = flatjson::unum(meta, "bytes_per_it");
-    const auto honest_raw = flatjson::parse_reals(flatjson::str(meta, "honest"));
-    cfg.honest.assign(cfg.n, true);
-    for (std::size_t i = 0; i < honest_raw.size() && i < cfg.n; ++i) {
-      cfg.honest[i] = honest_raw[i] != 0.0;
-    }
+    cfg.budget.msgs_fixed = meta.u64("msgs_fixed");
+    cfg.budget.msgs_per_iteration = meta.u64("msgs_per_it");
+    cfg.budget.bytes_fixed = meta.u64("bytes_fixed");
+    cfg.budget.bytes_per_iteration = meta.u64("bytes_per_it");
+    // check_stream() made the honest array exactly n long.
+    for (const double h : meta["honest"].reals()) cfg.honest.push_back(h != 0.0);
     // Honest inputs from the union of the processes' `input` events, in
     // party order — exact %.17g round-trips, so the hull is bit-identical
     // to the live single-process monitor's.
     std::map<PartyId, geo::Vec> inputs;
     for (const Event* e : merged_order) {
-      if (flatjson::str(e->kv, "ev") != "input") continue;
-      const auto party = static_cast<PartyId>(flatjson::num(e->kv, "party"));
-      inputs.emplace(party,
-                     geo::Vec(flatjson::parse_reals(flatjson::str(e->kv, "v"))));
+      if (e->kv.str("ev") != "input") continue;
+      inputs.emplace(static_cast<PartyId>(e->kv.u64("party")),
+                     geo::Vec(e->kv["v"].reals()));
     }
     for (const auto& [party, v] : inputs) {
       if (party < cfg.honest.size() && cfg.honest[party]) {
@@ -306,45 +322,38 @@ MergeResult merge_traces(const std::vector<std::string>& paths) {
     Context quiet;
     const ScopedContext scope(&quiet);
     for (const Event* e : merged_order) {
-      const std::string ev = flatjson::str(e->kv, "ev");
+      const JsonValue& kv = e->kv;
+      const std::string& ev = kv.str("ev");
       const auto t = e->t;
-      const auto party = static_cast<PartyId>(flatjson::num(e->kv, "party"));
-      const auto cause = flatjson::unum(e->kv, "cause");
+      const auto party = static_cast<PartyId>(kv.u64("party"));
+      const auto cause = kv.u64("cause");
       if (ev == "send") {
-        const auto from = static_cast<PartyId>(flatjson::num(e->kv, "from"));
-        const auto to = static_cast<PartyId>(flatjson::num(e->kv, "to"));
-        if (from != to) {
-          host.on_send(t, from,
-                       static_cast<std::size_t>(flatjson::num(e->kv, "bytes")));
+        const auto from = static_cast<PartyId>(kv.u64("from"));
+        if (from != static_cast<PartyId>(kv.u64("to"))) {
+          host.on_send(t, from, static_cast<std::size_t>(kv.u64("bytes")));
         }
       } else if (ev == "value") {
         host.begin_dispatch(cause);
-        host.on_value(t, party,
-                      static_cast<std::uint32_t>(flatjson::num(e->kv, "it")),
-                      geo::Vec(flatjson::parse_reals(flatjson::str(e->kv, "v"))));
+        host.on_value(t, party, static_cast<std::uint32_t>(kv.u64("it")),
+                      geo::Vec(kv["v"].reals()));
         host.end_dispatch();
       } else if (ev == "rbc") {
         host.begin_dispatch(cause);
-        host.on_rbc_digest(t, party,
-                           static_cast<std::uint32_t>(flatjson::num(e->kv, "tag")),
-                           static_cast<std::uint32_t>(flatjson::num(e->kv, "a")),
-                           static_cast<std::uint32_t>(flatjson::num(e->kv, "b")),
-                           flatjson::unum(e->kv, "h"));
+        host.on_rbc_digest(t, party, static_cast<std::uint32_t>(kv.u64("tag")),
+                           static_cast<std::uint32_t>(kv.u64("a")),
+                           static_cast<std::uint32_t>(kv.u64("b")), kv.u64("h"));
         host.end_dispatch();
       } else if (ev == "obc") {
+        // Each pair is [party, coordinates...] (check_stream() sized it).
         std::vector<std::pair<PartyId, geo::Vec>> pairs;
-        for (const auto& elem :
-             split_top_level(flatjson::str(e->kv, "pairs"))) {
-          const auto nums = flatjson::parse_reals(elem);
-          if (nums.empty()) continue;
-          pairs.emplace_back(
-              static_cast<PartyId>(nums[0]),
-              geo::Vec(std::vector<double>(nums.begin() + 1, nums.end())));
+        for (const JsonValue& pair : kv["pairs"].items()) {
+          auto coords = pair.reals();
+          coords.erase(coords.begin());
+          pairs.emplace_back(static_cast<PartyId>(pair.items()[0].as_u64().value_or(0)),
+                             geo::Vec(std::move(coords)));
         }
         host.begin_dispatch(cause);
-        host.on_obc_output(
-            t, party, static_cast<std::uint32_t>(flatjson::num(e->kv, "it")),
-            pairs);
+        host.on_obc_output(t, party, static_cast<std::uint32_t>(kv.u64("it")), pairs);
         host.end_dispatch();
       }
     }
@@ -372,9 +381,9 @@ MergeResult merge_traces(const std::vector<std::string>& paths) {
   } else {
     // No re-run: the verdict is whatever local violation lines survived.
     for (const Event* e : merged_order) {
-      if (flatjson::str(e->kv, "ev") == "invariant.violation") {
+      if (e->kv.str("ev") == "invariant.violation") {
         res.violations += 1;
-        res.violations_by_monitor[flatjson::str(e->kv, "monitor")] += 1;
+        res.violations_by_monitor[e->kv.str("monitor")] += 1;
       }
     }
   }

@@ -3,25 +3,17 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "domain/domain.hpp"
-#include "obs/flatjson.hpp"
+#include "obs/json.hpp"
 #include "obs/monitor.hpp"
 
 namespace hydra::obs {
 namespace {
-
-using flatjson::num;
-using flatjson::parse_flat_object;
-using flatjson::parse_object_arrays;
-using flatjson::real;
-using flatjson::str;
-using flatjson::unum;
 
 constexpr std::size_t kMaxViolationRows = 50;
 
@@ -29,40 +21,6 @@ std::string fmt_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
   return buf;
-}
-
-/// Extracts the *flat* sub-object stored under `key` in a metrics document
-/// ("key":{...}) — including the braces — or "" when absent. Relies on our
-/// own writer's output: sub-objects of interest contain no nested braces.
-std::string extract_object(const std::string& doc, const std::string& key) {
-  const std::string needle = "\"" + key + "\":{";
-  const auto at = doc.find(needle);
-  if (at == std::string::npos) return {};
-  const auto open = at + needle.size() - 1;
-  const auto close = doc.find('}', open);
-  if (close == std::string::npos) return {};
-  return doc.substr(open, close - open + 1);
-}
-
-/// Parses the comma-separated non-negative integers of `"key":[...]` inside
-/// `doc` (our own writer's output, so no whitespace surprises); empty when
-/// the key is absent or the array is empty.
-std::vector<std::uint64_t> parse_u64_array(const std::string& doc,
-                                           const std::string& key) {
-  const std::string needle = "\"" + key + "\":[";
-  const auto at = doc.find(needle);
-  if (at == std::string::npos) return {};
-  std::vector<std::uint64_t> out;
-  std::size_t i = at + needle.size();
-  while (i < doc.size() && doc[i] != ']') {
-    char* end = nullptr;
-    const auto v = std::strtoull(doc.c_str() + i, &end, 10);
-    if (end == doc.c_str() + i) break;
-    out.push_back(v);
-    i = static_cast<std::size_t>(end - doc.c_str());
-    if (i < doc.size() && doc[i] == ',') ++i;
-  }
-  return out;
 }
 
 struct ViolationRow {
@@ -88,6 +46,8 @@ struct FaultRow {
 /// Everything the renderers need, accumulated in one pass over the trace.
 struct TraceSummary {
   std::size_t events = 0;
+  /// Lines that are not an event object, or that name a party id not below n.
+  std::size_t skipped = 0;
   std::int64_t max_party = -1;
   std::int64_t end_time = 0;
   std::uint64_t sends = 0;
@@ -103,43 +63,55 @@ struct TraceSummary {
   /// Meta "domain" key; empty on Euclidean (and pre-domain-layer) traces.
   std::string domain;
   /// Latest per-party `value` event: party -> (iteration, coordinates).
-  /// Collected only for non-Euclidean traces — value lines carry arrays, so
-  /// Euclidean scans skip them exactly as they always did.
+  /// Collected only for non-Euclidean traces.
   std::map<std::int64_t, std::pair<std::int64_t, std::vector<double>>> last_values;
   std::vector<FaultRow> faults;
   std::uint64_t total_faults = 0;
   std::map<std::string, std::uint64_t> faults_by_kind;
 };
 
-TraceSummary scan_trace(std::istream& in) {
+/// True when every party id the event names is below n. The send/deliver
+/// matrix has a row and a column per party, so one id far past n would
+/// otherwise cost the report time and memory quadratic in that id.
+bool parties_below(const JsonValue& e, std::uint64_t n) {
+  for (const auto& [key, id] : e.members()) {
+    if ((key == "from" || key == "to" || key == "party") &&
+        id.as_u64().value_or(n) >= n) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// `n` bounds the party ids until a meta line gives its own (0 = unchecked).
+TraceSummary scan_trace(std::istream& in, std::uint64_t n) {
   TraceSummary s;
   std::string line;
   while (std::getline(in, line)) {
-    const auto kv = parse_flat_object(line);
-    const std::string ev = str(kv, "ev");
-    if (ev.empty()) {
-      // Array-carrying lines (the meta header, per-party `value` events)
-      // fail the flat parse and were never part of the event count; scoop
-      // the domain name and the running values out of them for the
-      // domain-aware sections without disturbing that count.
-      const auto akv = parse_object_arrays(line);
-      const std::string aev = str(akv, "ev");
-      if (aev == "meta" && s.domain.empty()) {
-        s.domain = str(akv, "domain");
-      } else if (aev == "value" && !s.domain.empty()) {
-        s.last_values[num(akv, "party")] = {num(akv, "it"),
-                                            flatjson::parse_reals(str(akv, "v"))};
-      }
+    if (line.empty()) continue;
+    const auto e = parse_json(line);
+    if (!e || e->str("ev").empty()) {
+      ++s.skipped;
+      continue;
+    }
+    const std::string& ev = e->str("ev");
+    if (ev == "meta") {  // a merged trace holds one per process, all alike
+      n = (*e)["n"].as_u64().value_or(n);
+      s.domain = e->str("domain");
+      continue;
+    }
+    if (n != 0 && !parties_below(*e, n)) {
+      ++s.skipped;
       continue;
     }
     ++s.events;
-    s.end_time = std::max(s.end_time, num(kv, "t"));
+    s.end_time = std::max(s.end_time, e->i64("t"));
     if (ev == "send") {
-      const auto from = num(kv, "from");
-      const auto to = num(kv, "to");
+      const auto from = e->i64("from");
+      const auto to = e->i64("to");
       s.max_party = std::max({s.max_party, from, to});
       s.sends += 1;
-      const auto bytes = static_cast<std::uint64_t>(num(kv, "bytes"));
+      const auto bytes = e->u64("bytes");
       s.send_bytes += bytes;
       s.send_matrix[{from, to}] += 1;
       // Per-party tallies count wire traffic only: self-sends stay visible
@@ -150,40 +122,37 @@ TraceSummary scan_trace(std::istream& in) {
         s.sent_bytes_by_party[from] += bytes;
       }
     } else if (ev == "deliver") {
-      const auto to = num(kv, "to");
-      s.max_party = std::max({s.max_party, num(kv, "from"), to});
+      const auto to = e->i64("to");
+      s.max_party = std::max({s.max_party, e->i64("from"), to});
       s.delivered_by_party[to] += 1;
     } else if (ev == "scalar") {
-      if (str(kv, "name") == "honest_diameter") {
-        s.diameter_series.emplace_back(num(kv, "t"), real(kv, "value"));
+      if (e->str("name") == "honest_diameter") {
+        s.diameter_series.emplace_back(e->i64("t"), e->real("value"));
       }
     } else if (ev == "round_end") {
-      s.max_iteration = std::max(s.max_iteration, num(kv, "it"));
+      s.max_iteration = std::max(s.max_iteration, e->i64("it"));
     } else if (ev == "value") {
-      // A 1-D coordinate list ("v":[3]) has no comma, so it survives the
-      // flat parse; multi-D value lines land in the ev.empty() branch above.
       if (!s.domain.empty()) {
-        s.last_values[num(kv, "party")] = {num(kv, "it"),
-                                           flatjson::parse_reals(str(kv, "v"))};
+        s.last_values[e->i64("party")] = {e->i64("it"), (*e)["v"].reals()};
       }
     } else if (ev == "invariant.violation") {
       s.total_violations += 1;
       if (s.violations.size() < kMaxViolationRows) {
-        s.violations.push_back(ViolationRow{num(kv, "t"), num(kv, "party"),
-                                            str(kv, "monitor"), num(kv, "it"),
-                                            num(kv, "cause"), str(kv, "detail")});
+        s.violations.push_back(ViolationRow{e->i64("t"), e->i64("party"),
+                                            e->str("monitor"), e->i64("it"),
+                                            e->i64("cause"), e->str("detail")});
       }
     } else if (ev.rfind("fault.", 0) == 0) {
       s.total_faults += 1;
       s.faults_by_kind[ev.substr(6)] += 1;
       if (s.faults.size() < kMaxViolationRows) {
         FaultRow row;
-        row.t = num(kv, "t");
+        row.t = e->i64("t");
         row.kind = ev.substr(6);
-        row.party = kv.count("party") != 0U ? num(kv, "party") : -1;
-        row.peer = kv.count("peer") != 0U ? num(kv, "peer") : -1;
-        row.cause = num(kv, "cause");
-        row.detail = str(kv, "detail");
+        row.party = (*e)["party"].as_i64().value_or(-1);
+        row.peer = (*e)["peer"].as_i64().value_or(-1);
+        row.cause = e->i64("cause");
+        row.detail = e->str("detail");
         s.faults.push_back(std::move(row));
       }
     }
@@ -328,10 +297,13 @@ class HtmlRenderer final : public Renderer {
   }
 };
 
-void kv_table(Renderer& r, const std::map<std::string, std::string>& kv) {
+/// The members of a flat metrics block, one row each, sorted by key.
+void kv_table(Renderer& r, const JsonValue& block) {
+  std::map<std::string, std::string> sorted;
+  for (const auto& [k, v] : block.members()) sorted.emplace(k, v.text());
   std::vector<std::vector<std::string>> rows;
-  rows.reserve(kv.size());
-  for (const auto& [k, v] : kv) rows.push_back({k, v});
+  rows.reserve(sorted.size());
+  for (const auto& [k, v] : sorted) rows.push_back({k, v});
   r.table({"key", "value"}, rows);
 }
 
@@ -358,35 +330,19 @@ double bucket_percentile(const std::vector<std::uint64_t>& buckets, double q) {
 
 std::size_t render_report(std::istream& trace, const std::string& metrics_json,
                           const ReportOptions& options, std::ostream& out) {
-  const TraceSummary s = scan_trace(trace);
+  const JsonValue metrics = parse_json(metrics_json).value_or(JsonValue{});
+  const JsonValue& spec = metrics["spec"];
+  const JsonValue& verdict = metrics["verdict"];
+  const JsonValue& monitor = metrics["monitor"];
+  const JsonValue& totals = metrics["totals"];
+  const JsonValue& health = metrics["transport_health"];
+  const JsonValue& progress = metrics["progress"];
+  const auto prog_finished = progress["finished"].u64s();
+  const auto prog_crashed = progress["crash_stopped"].u64s();
+  const auto prog_events = progress["events"].u64s();
+  const auto prog_last = progress["last_progress"].u64s();
 
-  const auto spec = parse_flat_object(extract_object(metrics_json, "spec"));
-  const auto verdict = parse_flat_object(extract_object(metrics_json, "verdict"));
-  const auto monitor = parse_flat_object(extract_object(metrics_json, "monitor"));
-  const auto totals = parse_flat_object(extract_object(metrics_json, "totals"));
-  // The transport_health block carries histogram arrays, so it needs the
-  // array-aware parser (the flat one bails on the first '[').
-  const std::string health_doc = extract_object(metrics_json, "transport_health");
-  const auto health = parse_object_arrays(health_doc);
-
-  // The "progress" block (harness/runner.cpp) writes its scalars before its
-  // numeric arrays, so truncating at the first array yields a flat object the
-  // shared parser understands; the arrays get their own parser.
-  const std::string progress_doc = extract_object(metrics_json, "progress");
-  std::map<std::string, std::string> progress;
-  if (!progress_doc.empty()) {
-    const auto cut = progress_doc.find(":[");
-    if (cut == std::string::npos) {
-      progress = parse_flat_object(progress_doc);
-    } else {
-      const auto comma = progress_doc.rfind(',', cut);
-      progress = parse_flat_object(progress_doc.substr(0, comma) + "}");
-    }
-  }
-  const auto prog_finished = parse_u64_array(progress_doc, "finished");
-  const auto prog_crashed = parse_u64_array(progress_doc, "crash_stopped");
-  const auto prog_events = parse_u64_array(progress_doc, "events");
-  const auto prog_last = parse_u64_array(progress_doc, "last_progress");
+  const TraceSummary s = scan_trace(trace, spec.u64("n"));
 
   MarkdownRenderer md(out);
   HtmlRenderer html(out);
@@ -398,13 +354,17 @@ std::size_t render_report(std::istream& trace, const std::string& metrics_json,
   r.para(std::to_string(s.events) + " trace events over " +
          std::to_string(s.end_time) + " virtual ticks, " +
          std::to_string(s.sends) + " sends (" + std::to_string(s.send_bytes) +
-         " bytes), max iteration " + std::to_string(s.max_iteration) + ".");
+         " bytes), max iteration " + std::to_string(s.max_iteration) + "." +
+         (s.skipped > 0 ? " " + std::to_string(s.skipped) +
+                              " line(s) skipped: not an event object, or a "
+                              "party id not below n."
+                        : ""));
 
-  if (!spec.empty()) {
+  if (!spec.members().empty()) {
     r.section("Run spec");
     kv_table(r, spec);
   }
-  if (!verdict.empty()) {
+  if (!verdict.members().empty()) {
     r.section("Oracle verdict");
     kv_table(r, verdict);
   }
@@ -436,10 +396,10 @@ std::size_t render_report(std::istream& trace, const std::string& metrics_json,
   // reports no per-party progress — quiescence detection makes it moot).
   if (!prog_finished.empty()) {
     r.section("Party progress (thread backend)");
-    std::string summary = "Backend '" + str(progress, "backend") + "', " +
-                          str(progress, "wall_ms") + " ms wall clock";
-    if (str(progress, "timed_out") == "true") {
-      const std::string detail = str(progress, "timeout_detail");
+    std::string summary = "Backend '" + progress.str("backend") + "', " +
+                          progress.str("wall_ms") + " ms wall clock";
+    if (progress.str("timed_out") == "true") {
+      const std::string& detail = progress.str("timeout_detail");
       summary += " — TIMED OUT" + (detail.empty() ? "" : ": " + detail);
     }
     r.para(summary + ".");
@@ -461,9 +421,9 @@ std::size_t render_report(std::istream& trace, const std::string& metrics_json,
   // nonzero means a peer sent frames that failed authentication or decode)
   // plus the connection/frame/queue counters and latency histograms the
   // socket transport exports (metrics "transport_health", socket runs only).
-  const std::uint64_t auth_dropped = unum(totals, "frames_auth_dropped");
-  const std::uint64_t decode_dropped = unum(totals, "frames_decode_dropped");
-  if (!health.empty() || auth_dropped != 0 || decode_dropped != 0) {
+  const std::uint64_t auth_dropped = totals.u64("frames_auth_dropped");
+  const std::uint64_t decode_dropped = totals.u64("frames_decode_dropped");
+  if (!health.members().empty() || auth_dropped != 0 || decode_dropped != 0) {
     r.section("Transport health (socket links)");
     r.para("Frames dropped by hardened ingress: " + std::to_string(auth_dropped) +
            " auth (sender identity mismatch), " + std::to_string(decode_dropped) +
@@ -472,18 +432,18 @@ std::size_t render_report(std::istream& trace, const std::string& metrics_json,
                 ? " Nonzero drops on a healthy deployment indicate a"
                   " misbehaving or mismatched peer."
                 : ""));
-    if (!health.empty()) {
+    if (!health.members().empty()) {
       r.table({"counter", "value"},
-              {{"connect attempts", std::to_string(unum(health, "connect_attempts"))},
-               {"connects", std::to_string(unum(health, "connects"))},
-               {"accepts (bound at HELLO)", std::to_string(unum(health, "accepts"))},
-               {"frames sent", std::to_string(unum(health, "frames_sent"))},
-               {"writer flushes (coalesced)", std::to_string(unum(health, "flushes"))},
-               {"frames received", std::to_string(unum(health, "frames_received"))},
-               {"egress queue high-water", std::to_string(unum(health, "egress_hwm"))},
-               {"mailbox high-water", std::to_string(unum(health, "mailbox_hwm"))}});
-      const auto flush = parse_u64_array(health_doc, "flush_ns_buckets");
-      const auto sizes = parse_u64_array(health_doc, "frame_bytes_buckets");
+              {{"connect attempts", std::to_string(health.u64("connect_attempts"))},
+               {"connects", std::to_string(health.u64("connects"))},
+               {"accepts (bound at HELLO)", std::to_string(health.u64("accepts"))},
+               {"frames sent", std::to_string(health.u64("frames_sent"))},
+               {"writer flushes (coalesced)", std::to_string(health.u64("flushes"))},
+               {"frames received", std::to_string(health.u64("frames_received"))},
+               {"egress queue high-water", std::to_string(health.u64("egress_hwm"))},
+               {"mailbox high-water", std::to_string(health.u64("mailbox_hwm"))}});
+      const auto flush = health["flush_ns_buckets"].u64s();
+      const auto sizes = health["frame_bytes_buckets"].u64s();
       std::vector<std::vector<std::string>> hist_rows;
       const auto hist_row = [&](const char* name,
                                 const std::vector<std::uint64_t>& buckets,
@@ -507,18 +467,17 @@ std::size_t render_report(std::istream& trace, const std::string& metrics_json,
 
   r.section("Invariant violations");
   const std::uint64_t reported =
-      monitor.count("violations") != 0U
-          ? static_cast<std::uint64_t>(num(monitor, "violations"))
-          : s.total_violations;
+      monitor["violations"].as_u64().value_or(s.total_violations);
   if (reported == 0 && s.total_violations == 0) {
-    r.para(monitor.empty() ? "No violation events in the trace (monitors may "
-                             "not have been enabled for this run)."
-                           : "No violations — all monitored invariants held "
-                             "(mode: " + str(monitor, "mode") + ").");
+    r.para(monitor.members().empty()
+               ? "No violation events in the trace (monitors may "
+                 "not have been enabled for this run)."
+               : "No violations — all monitored invariants held "
+                 "(mode: " + monitor.str("mode") + ").");
   } else {
     r.para(std::to_string(std::max<std::uint64_t>(reported, s.total_violations)) +
            " violation(s)" +
-           (str(monitor, "aborted") == "true" ? "; strict mode aborted the run."
+           (monitor.str("aborted") == "true" ? "; strict mode aborted the run."
                                               : "."));
     std::vector<std::vector<std::string>> rows;
     for (const auto& v : s.violations) {
@@ -537,7 +496,7 @@ std::size_t render_report(std::istream& trace, const std::string& metrics_json,
   // meta header (and the metrics spec). Euclidean traces carry neither key,
   // so every rendering below falls through to the historical output.
   const std::string domain_name =
-      !s.domain.empty() ? s.domain : str(spec, "domain");
+      !s.domain.empty() ? s.domain : spec.str("domain");
   const hydra::domain::ValueDomain* dom =
       !domain_name.empty() && domain_name != "euclid"
           ? hydra::domain::find(domain_name)
@@ -615,11 +574,11 @@ std::size_t render_report(std::istream& trace, const std::string& metrics_json,
 
   // Paper-bound vs measured complexity: needs (n, dim, protocol) from the
   // metrics spec; skipped when no metrics document was provided.
-  const auto n = static_cast<std::size_t>(num(spec, "n"));
-  const auto dim = static_cast<std::size_t>(num(spec, "dim"));
+  const auto n = static_cast<std::size_t>(spec.u64("n"));
+  const auto dim = static_cast<std::size_t>(spec.u64("dim"));
   if (n > 0 && dim > 0) {
     r.section("Complexity: paper bound vs measured");
-    const std::string protocol = str(spec, "protocol");
+    const std::string& protocol = spec.str("protocol");
     const ComplexityBudget budget = protocol == "sync-lockstep"
                                         ? lockstep_complexity_budget(n, dim)
                                         : hybrid_complexity_budget(n, dim);

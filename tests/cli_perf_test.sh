@@ -2,7 +2,8 @@
 # `hydra perf` as a gate over captured agreebench output, driven by ctest:
 #
 #   1. Three runs merge to the per-metric median, and --json records their
-#      stamp as the context.
+#      stamp as the context; a bench document read back with --json keeps
+#      its context.
 #   2. A run equal to the baseline passes.
 #   3. A work count (unit count or B) changed by +1 or by -1 fails: counts
 #      are compared exactly, in both directions.
@@ -62,6 +63,8 @@ grep -q '"name":"r2-burst-sim/msgs_per_agreement","unit":"count","value":1115,"r
   || fail "merge: msgs_per_agreement is not 1115 over 3 runs: $(cat base.json)"
 grep -q '"context":{"git":"0123456789ab","dirty":"0","build":"Release"}' base.json \
   || fail "merge: the stamp is not the context: $(cat base.json)"
+expect 0 "round trip" -- --input base.json --json again.json
+cmp -s base.json again.json || fail "round trip: --json rewrote the document: $(cat again.json)"
 
 # --- 2. an equal run passes --------------------------------------------------
 expect 0 "equal run" -- --input run3.out --baseline base.json --budget 0.25

@@ -9,9 +9,9 @@
 //     even when per-process clocks disagree; delivers whose cause send is in
 //     no input file are counted as orphans;
 //   * hostile inputs fail actionably (meta mismatch, duplicate proc tags,
-//     missing meta) and torn lines from a killed process are skipped, not
-//     fatal;
-//   * StatsPublisher heartbeats round-trip through the flatjson parsers the
+//     missing meta, an n or a vector the re-evaluation cannot trust) and
+//     torn lines from a killed process are skipped, not fatal;
+//   * StatsPublisher heartbeats round-trip through the JSON reader the
 //     `hydra top` command uses, and the final line is flagged.
 #include <gtest/gtest.h>
 
@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "harness/runner.hpp"
-#include "obs/flatjson.hpp"
+#include "obs/json.hpp"
 #include "obs/merge.hpp"
 #include "obs/monitor.hpp"
 #include "obs/stats.hpp"
@@ -237,18 +237,85 @@ TEST(Merge, FileWithoutMetaFails) {
 TEST(Merge, TornTailIsSkippedNotFatal) {
   // A SIGKILL mid-write leaves a torn final line; the merge keeps the valid
   // prefix, counts the junk, and reports the stream incomplete (no `end`).
-  const std::string a = temp_path("merge_torn.jsonl");
-  write_file(a, meta_line(1) +
-                    R"({"ev":"state","t":4,"party":0,"layer":"init","what":"start","a":0,"b":0,"proc":1})"
-                    "\n"
-                    R"({"ev":"send","t":6,"fro)");
-  const auto res = obs::merge_traces({a});
-  ASSERT_TRUE(res.ok()) << res.error;
-  EXPECT_EQ(res.events, 1u);
-  EXPECT_EQ(res.skipped_lines, 1u);
-  EXPECT_FALSE(res.complete);
-  EXPECT_FALSE(res.reevaluated);
-  std::remove(a.c_str());
+  // The second tail breaks only between two members, so a reader that stops
+  // at the first missing brace would take it for an event.
+  for (const char* tail : {R"({"ev":"send","t":6,"fro)", R"({"ev":"send","t":6)"}) {
+    const std::string a = temp_path("merge_torn.jsonl");
+    write_file(a, meta_line(1) +
+                      R"({"ev":"state","t":4,"party":0,"layer":"init","what":"start","a":0,"b":0,"proc":1})"
+                      "\n" +
+                      tail);
+    const auto res = obs::merge_traces({a});
+    ASSERT_TRUE(res.ok()) << res.error;
+    EXPECT_EQ(res.events, 1u) << tail;
+    EXPECT_EQ(res.skipped_lines, 1u) << tail;
+    EXPECT_FALSE(res.complete);
+    EXPECT_FALSE(res.reevaluated);
+    std::remove(a.c_str());
+  }
+}
+
+// The re-evaluation sizes its per-party tables by the meta line's n and
+// hands every vector to the geometry kernels, so a trace that breaks either
+// is a merge error naming the file and line. Each case edits the first line
+// of a real 4-party 2D trace that contains `marker`.
+TEST(Merge, TracesTheReevaluationCannotTrustAreRejected) {
+  const struct {
+    const char* marker;
+    std::string (*edit)(std::string);
+    const char* error;
+  } cases[] = {
+      {R"("ev":"meta")",
+       [](std::string line) {
+         return line.replace(line.find(R"("n":4,)"), 6, R"("n":4000000000000000,)");
+       },
+       ": the meta line's honest array does not list n parties "
+       "(n=4000000000000000, dim=2)"},
+      {R"("ev":"value")",
+       [](std::string line) {  // keep only the first coordinate
+         const auto comma = line.find(',', line.find(R"("v":[)"));
+         return line.replace(comma, line.find(']', comma) - comma, "");
+       },
+       ": value vector v does not have dim coordinates (n=4, dim=2)"},
+      {R"("ev":"send")",
+       [](std::string line) {
+         const auto to = line.find(R"("to":)");
+         return line.replace(to, line.find(',', to) - to, R"("to":20000)");
+       },
+       ": to 20000 is not a party id below n (n=4, dim=2)"},
+  };
+  harness::RunSpec spec;
+  spec.params.n = 4;
+  spec.params.ts = 1;
+  spec.params.ta = 0;
+  spec.params.dim = 2;
+  spec.network = harness::Network::kSyncWorstCase;
+  spec.adversary = harness::Adversary::kNone;
+  spec.corruptions = 0;
+  spec.monitors = obs::MonitorMode::kRecord;
+  spec.seed = 1;
+  spec.trace_out = temp_path("merge_untrusted.jsonl");
+  (void)harness::execute(spec);
+  const std::string trace = slurp(spec.trace_out);
+
+  for (const auto& c : cases) {
+    std::istringstream in(trace);
+    std::string edited;
+    std::size_t edited_line = 0;
+    std::size_t line_no = 1;
+    for (std::string line; std::getline(in, line); ++line_no) {
+      if (edited_line == 0 && line.find(c.marker) != std::string::npos) {
+        line = c.edit(line);
+        edited_line = line_no;
+      }
+      edited += line + "\n";
+    }
+    write_file(spec.trace_out, edited);
+    const auto res = obs::merge_traces({spec.trace_out});
+    EXPECT_FALSE(res.ok()) << c.marker;
+    EXPECT_EQ(res.error, spec.trace_out + ":" + std::to_string(edited_line) + c.error);
+  }
+  std::remove(spec.trace_out.c_str());
 }
 
 TEST(Merge, IncompleteRunKeepsLocalViolations) {
@@ -295,7 +362,7 @@ TEST(Merge, CompleteRunDropsLocalViolationsBeforeReeval) {
 
 // ------------------------------------------------------- stats schema round-trip
 
-TEST(Stats, HeartbeatsRoundTripThroughFlatjson) {
+TEST(Stats, HeartbeatsRoundTripThroughTheReader) {
   const std::string path = temp_path("stats_rt.jsonl");
   {
     obs::StatsPublisher pub(path, /*interval_ms=*/5, /*proc=*/3);
@@ -327,28 +394,24 @@ TEST(Stats, HeartbeatsRoundTripThroughFlatjson) {
   bool saw_final = false;
   double last_ms = -1.0;
   while (std::getline(in, line)) {
-    auto kv = obs::flatjson::parse_object_arrays(line);
-    ASSERT_FALSE(kv.empty()) << line;
+    const auto kv = obs::parse_json(line);
+    ASSERT_TRUE(kv) << line;
     ++lines;
-    EXPECT_EQ(obs::flatjson::str(kv, "schema"), "hydra-stats-v1") << line;
-    EXPECT_EQ(obs::flatjson::num(kv, "proc"), 3) << line;
-    const double ms = obs::flatjson::real(kv, "ms");
+    EXPECT_EQ(kv->str("schema"), "hydra-stats-v1") << line;
+    EXPECT_EQ(kv->u64("proc"), 3u) << line;
+    const double ms = kv->real("ms");
     EXPECT_GE(ms, last_ms) << "wall clock went backwards: " << line;
     last_ms = ms;
     EXPECT_FALSE(saw_final) << "line after the final heartbeat: " << line;
-    saw_final = obs::flatjson::num(kv, "final") != 0;
-    if (obs::flatjson::num(kv, "messages") == 0) continue;  // pre-provider
+    saw_final = kv->u64("final") != 0;
+    if (kv->u64("messages") == 0) continue;  // pre-provider
     // parties:[[id,finished,events,round],...] — the exact access pattern
     // `hydra top` uses.
-    const auto party =
-        obs::flatjson::parse_reals(obs::flatjson::str(kv, "parties"));
-    ASSERT_EQ(party.size(), 4u) << line;
-    EXPECT_EQ(party[0], 2.0);
-    EXPECT_EQ(party[1], 1.0);
-    EXPECT_EQ(party[2], 17.0);
-    EXPECT_EQ(party[3], 4.0);
-    EXPECT_EQ(obs::flatjson::num(kv, "decided"), 1) << line;
-    EXPECT_EQ(obs::flatjson::num(kv, "round"), 4) << line;
+    const auto& rows = (*kv)["parties"].items();
+    ASSERT_EQ(rows.size(), 1u) << line;
+    EXPECT_EQ(rows[0].reals(), (std::vector<double>{2.0, 1.0, 17.0, 4.0})) << line;
+    EXPECT_EQ(kv->u64("decided"), 1u) << line;
+    EXPECT_EQ(kv->u64("round"), 4u) << line;
   }
   EXPECT_GE(lines, 2u);  // at least one periodic beat plus the final one
   EXPECT_TRUE(saw_final);
@@ -386,15 +449,15 @@ TEST(Stats, ThreadsFinalHeartbeatCoversEveryParty) {
   std::string line;
   std::string last;
   while (std::getline(in, line)) last = line;
-  const auto kv = obs::flatjson::parse_object_arrays(last);
-  ASSERT_FALSE(kv.empty()) << last;
-  EXPECT_EQ(obs::flatjson::num(kv, "final"), 1) << last;
-  EXPECT_EQ(obs::flatjson::num(kv, "decided"),
-            static_cast<std::int64_t>(spec.params.n)) << last;
-  EXPECT_GT(obs::flatjson::num(kv, "messages"), 0) << last;
+  const auto kv = obs::parse_json(last);
+  ASSERT_TRUE(kv) << last;
+  EXPECT_EQ(kv->u64("final"), 1u) << last;
+  EXPECT_EQ(kv->u64("decided"), spec.params.n) << last;
+  EXPECT_GT(kv->u64("messages"), 0u) << last;
   // parties:[[id,finished,events,round],...], one row per party.
-  const auto rows = obs::flatjson::parse_reals(obs::flatjson::str(kv, "parties"));
-  EXPECT_EQ(rows.size(), 4 * spec.params.n) << last;
+  const auto& rows = (*kv)["parties"].items();
+  ASSERT_EQ(rows.size(), spec.params.n) << last;
+  for (const auto& row : rows) EXPECT_EQ(row.items().size(), 4u) << last;
   std::remove(path.c_str());
 }
 

@@ -5,6 +5,7 @@
 // AND contraction monitors, and report rendering from a real trace.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -396,6 +397,29 @@ TEST(Report, RendersMarkdownAndHtmlFromARealTrace) {
 
   std::remove(trace_path.c_str());
   std::remove(metrics_path.c_str());
+}
+
+// The send/deliver matrix has a row and a column per party, so a party id
+// far past the meta line's n must not size it: the line is skipped, counted
+// in the first paragraph, and the report stays fast.
+TEST(Report, PartyIdPastNIsSkippedAndCounted) {
+  const std::string trace_path = testing::TempDir() + "report_far_party.jsonl";
+  auto spec = monitored_spec(harness::Protocol::kHybrid, 1);
+  spec.trace_out = trace_path;
+  (void)harness::execute(spec);
+  std::string trace = slurp(trace_path);
+  const auto to = trace.find(R"("to":)", trace.find(R"("ev":"send")"));
+  ASSERT_NE(to, std::string::npos);
+  trace.replace(to, trace.find(',', to) - to, R"("to":20000)");
+
+  std::istringstream in(trace);
+  std::ostringstream out;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_GT(obs::render_report(in, "", {}, out), 0u);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  EXPECT_NE(out.str().find(" 1 line(s) skipped"), std::string::npos) << out.str().substr(0, 300);
+  EXPECT_EQ(out.str().find("| 20000 |"), std::string::npos);
+  std::remove(trace_path.c_str());
 }
 
 TEST(Report, EmptyTraceReturnsZeroEvents) {

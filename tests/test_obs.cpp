@@ -1,19 +1,21 @@
-// Observability layer: registry semantics, histogram bucket edges, the
-// disabled path staying a no-op, trace determinism (same seed -> byte
-// identical), and the Chrome trace converter.
+// Observability layer: registry semantics, histogram bucket edges, the JSON
+// writer and the strict reader, the disabled path staying a no-op, trace
+// determinism (same seed -> byte identical), and the Chrome trace converter.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/log.hpp"
 #include "harness/runner.hpp"
+#include "net/egress.hpp"
 #include "obs/convert.hpp"
-#include "obs/flatjson.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -122,8 +124,136 @@ TEST(JsonWriter, NanBecomesNull) {
   obs::JsonWriter w;
   w.begin_array();
   w.value(std::numeric_limits<double>::quiet_NaN());
+  w.value(std::numeric_limits<double>::infinity());
+  w.value(-std::numeric_limits<double>::infinity());
   w.end_array();
-  EXPECT_EQ(w.take(), "[null]");
+  EXPECT_EQ(w.take(), "[null,null,null]");
+}
+
+// ---------------------------------------------------------------- json reader
+
+using Kind = obs::JsonValue::Kind;
+
+// Everything the writer emits reads back exactly: each escape it writes
+// (control characters as \u00XX), null, booleans, u64s at the top of the
+// range (a composed send id), %.17g doubles bit for bit, and member order.
+TEST(JsonReader, ReadsBackWhatTheWriterEmits) {
+  const std::string text = std::string("q\"b\\s\n\r\t") + '\x01' + '\x1f' + "\xc3\xa9";
+  const std::vector<std::uint64_t> ids = {0, 1, std::numeric_limits<std::uint64_t>::max(),
+                                          net::compose_send_id(0xfffffffe, 0xffffffff)};
+  const std::vector<double> reals = {0.1, -2.5e-300, 1.7976931348623157e308,
+                                     4.9406564584124654e-324, 15.734699919816444,
+                                     -0.0, 1e21, 0.93541434669348533};
+  obs::JsonWriter w;
+  w.begin_object();
+  w.kv("s", std::string_view(text));
+  w.kv("yes", true);
+  w.kv("no", false);
+  w.kv("nan", std::numeric_limits<double>::quiet_NaN());
+  w.key("ids");
+  w.begin_array();
+  for (const auto id : ids) w.value(id);
+  w.end_array();
+  w.key("reals");
+  w.begin_array();
+  for (const auto r : reals) w.value(r);
+  w.end_array();
+  w.kv("neg", std::int64_t{-7});
+  w.end_object();
+
+  const auto doc = obs::parse_json(w.str());
+  ASSERT_TRUE(doc) << w.str();
+  EXPECT_EQ(doc->str("s"), text);
+  EXPECT_EQ((*doc)["yes"].kind(), Kind::kBool);
+  EXPECT_EQ(doc->str("yes"), "true");
+  EXPECT_EQ(doc->str("no"), "false");
+  EXPECT_EQ((*doc)["nan"].kind(), Kind::kNull);
+  EXPECT_EQ((*doc)["ids"].u64s(), ids);
+  const auto back = (*doc)["reals"].reals();
+  ASSERT_EQ(back.size(), reals.size());
+  for (std::size_t i = 0; i < reals.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back[i]), std::bit_cast<std::uint64_t>(reals[i]))
+        << reals[i];
+  }
+  EXPECT_EQ(doc->i64("neg"), -7);
+  std::vector<std::string> order;
+  for (const auto& [key, value] : doc->members()) order.push_back(key);
+  EXPECT_EQ(order, (std::vector<std::string>{"s", "yes", "no", "nan", "ids", "reals", "neg"}));
+}
+
+// Beyond what the writer emits: the rest of the RFC 8259 grammar, and
+// conversions that succeed only on a number whose whole text fits the type.
+TEST(JsonReader, AcceptsTheGrammarAndConvertsExactly) {
+  const struct {
+    const char* doc;
+    const char* text;  ///< the text of the array's one element
+  } cases[] = {
+      {R"(["\u00e9\u0041"])", "\xc3\xa9" "A"},
+      {R"(["\ud83d\ude00"])", "\xf0\x9f\x98\x80"},
+      {R"(["\/\b\f"])", "/\b\f"},
+      {" \t[ -0.5E+3 ]\r\n", "-0.5E+3"},
+      {"[0]", "0"},
+      {"[null]", "null"},
+      {"[{}]", ""},
+  };
+  for (const auto& c : cases) {
+    const auto doc = obs::parse_json(c.doc);
+    ASSERT_TRUE(doc) << c.doc;
+    ASSERT_EQ(doc->items().size(), 1u) << c.doc;
+    EXPECT_EQ(doc->items()[0].text(), c.text) << c.doc;
+  }
+
+  const auto v = obs::parse_json(R"({"big":18446744073709551615,"neg":-1,"frac":1.5,"s":"7"})");
+  ASSERT_TRUE(v);
+  EXPECT_EQ((*v)["big"].as_u64(), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_FALSE((*v)["big"].as_i64());
+  EXPECT_FALSE((*v)["neg"].as_u64());
+  EXPECT_EQ((*v)["neg"].as_i64(), -1);
+  EXPECT_FALSE((*v)["frac"].as_i64());
+  EXPECT_EQ((*v)["frac"].as_double(), 1.5);
+  EXPECT_FALSE((*v)["s"].as_u64());
+  EXPECT_EQ(v->u64("absent"), 0u);
+  EXPECT_EQ(v->str("absent"), "");
+  EXPECT_EQ((*v)["absent"].kind(), Kind::kNull);
+}
+
+// Anything but exactly one well-formed value is rejected whole, and the
+// nesting limit holds without recursing once per bracket.
+TEST(JsonReader, RejectsAnythingButOneDocument) {
+  const std::string cases[] = {
+      R"({"ev":"send","t":5)",  // a torn line the old flat parsers accepted
+      R"({"ev":"send","t":6,"fro)",
+      R"({"a":1} x)",
+      R"({"a":1}{"a":2})",
+      R"(["unterminated)",
+      R"(["bad \x escape"])",
+      R"(["\u12"])",
+      R"(["\ud800"])",
+      R"(["\udc00"])",
+      "[\"raw\ncontrol\"]",
+      "",
+      "  ",
+      "[1,]",
+      R"({"a"})",
+      R"({"a":1,})",
+      "{a:1}",
+      "['x']",
+      "[01]",
+      "[1.]",
+      "[.5]",
+      "[+1]",
+      "[-]",
+      "[1e]",
+      "[inf]",
+      "[NaN]",
+      "[tru]",
+      std::string(100000, '['),
+      std::string(65, '[') + std::string(65, ']'),
+  };
+  for (const auto& doc : cases) {
+    EXPECT_FALSE(obs::parse_json(doc)) << doc.substr(0, 40);
+  }
+  EXPECT_TRUE(obs::parse_json(std::string(64, '[') + std::string(64, ']')));
 }
 
 // ---------------------------------------------------------------- log parsing
@@ -215,24 +345,21 @@ TEST(Obs, SendIdsAreUniqueAndDeliverCausesResolve) {
   std::size_t delivers = 0;
   std::string line;
   while (std::getline(in, line)) {
-    const auto kv = obs::flatjson::parse_flat_object(line);
-    const auto ev = kv.find("ev");
-    if (ev == kv.end()) continue;
-    if (ev->second == "send") {
+    const auto e = obs::parse_json(line);
+    ASSERT_TRUE(e) << line;
+    const std::string& ev = e->str("ev");
+    if (ev == "send") {
       ++sends;
-      if (obs::flatjson::num(kv, "from") != obs::flatjson::num(kv, "to")) {
-        ++wire_sends;
-      }
-      ASSERT_TRUE(kv.contains("id")) << line;
-      const auto id = obs::flatjson::num(kv, "id");
-      EXPECT_GT(id, 0) << line;
-      EXPECT_TRUE(send_ids.insert(static_cast<std::uint64_t>(id)).second)
-          << "duplicate send id: " << line;
-    } else if (ev->second == "deliver") {
+      if (e->u64("from") != e->u64("to")) ++wire_sends;
+      const auto id = (*e)["id"].as_u64();
+      ASSERT_TRUE(id) << line;
+      EXPECT_GT(*id, 0u) << line;
+      EXPECT_TRUE(send_ids.insert(*id).second) << "duplicate send id: " << line;
+    } else if (ev == "deliver") {
       ++delivers;
-      ASSERT_TRUE(kv.contains("cause")) << line;
-      const auto cause = obs::flatjson::num(kv, "cause");
-      EXPECT_TRUE(send_ids.contains(static_cast<std::uint64_t>(cause)))
+      const auto cause = (*e)["cause"].as_u64();
+      ASSERT_TRUE(cause) << line;
+      EXPECT_TRUE(send_ids.contains(*cause))
           << "deliver cause does not match any prior send: " << line;
     }
   }
@@ -262,6 +389,46 @@ TEST(Obs, MetricsJsonIsWritten) {
   // so the metrics document is byte-deterministic per (spec, seed).
   EXPECT_EQ(json.find("\"aa.safe_area_us\""), std::string::npos);
   std::remove(path.c_str());
+}
+
+// Every line a traced run writes reads back: the trace (meta, inputs and the
+// monitors' value/rbc/obc lines included), the metrics document and the
+// phase profile. Inputs scaled to 1e300 make the input diameter infinite,
+// which the metrics document writes as null.
+TEST(JsonReader, ReadsEveryDocumentATracedRunWrites) {
+  auto spec = small_spec(9);
+  spec.monitors = obs::MonitorMode::kRecord;
+  spec.trace_out = testing::TempDir() + "hydra_reader_trace.jsonl";
+  spec.metrics_out = testing::TempDir() + "hydra_reader_metrics.json";
+  spec.perf_out = testing::TempDir() + "hydra_reader_perf.json";
+  (void)harness::execute(spec);
+
+  std::ifstream trace(spec.trace_out);
+  std::set<std::string> kinds;
+  for (std::string line; std::getline(trace, line);) {
+    const auto e = obs::parse_json(line);
+    ASSERT_TRUE(e) << line;
+    kinds.insert(e->str("ev"));
+  }
+  for (const char* ev : {"meta", "input", "send", "deliver", "value", "rbc", "obc", "end"}) {
+    EXPECT_TRUE(kinds.contains(ev)) << ev;
+  }
+  EXPECT_TRUE(obs::parse_json(slurp(spec.metrics_out)));
+  const auto perf = obs::parse_json(slurp(spec.perf_out));
+  ASSERT_TRUE(perf);
+  EXPECT_EQ(perf->str("schema"), "hydra-perf-v1");
+
+  auto huge = small_spec(9);
+  huge.workload_scale = 1e300;
+  huge.metrics_out = spec.metrics_out;
+  (void)harness::execute(huge);
+  const auto metrics = obs::parse_json(slurp(huge.metrics_out));
+  ASSERT_TRUE(metrics);
+  EXPECT_EQ((*metrics)["totals"]["input_diameter"].kind(), Kind::kNull);
+
+  for (const auto& path : {spec.trace_out, spec.metrics_out, spec.perf_out}) {
+    std::remove(path.c_str());
+  }
 }
 
 // ----------------------------------------------------------------- converter

@@ -180,7 +180,7 @@
 #include "harness/sweep.hpp"
 #include "harness/table.hpp"
 #include "obs/convert.hpp"
-#include "obs/flatjson.hpp"
+#include "obs/json.hpp"
 #include "obs/merge.hpp"
 #include "obs/monitor.hpp"
 #include "obs/report.hpp"
@@ -853,8 +853,9 @@ int cmd_report(int argc, char** argv) {
   std::string metrics;
   if (const auto it = kv.find("metrics"); it != kv.end()) {
     auto text = read_file(it->second);
-    if (!text) {
-      std::fprintf(stderr, "error: cannot read metrics %s\n", it->second.c_str());
+    if (!text || !obs::parse_json(*text)) {
+      std::fprintf(stderr, "error: cannot read metrics %s as a JSON document\n",
+                   it->second.c_str());
       return 1;
     }
     metrics = std::move(*text);
@@ -1072,12 +1073,7 @@ int cmd_top(int argc, char** argv) {
   const auto input = kv.find("input");
   if (input == kv.end()) usage("top requires --input STATS_JSONL");
 
-  struct Heartbeat {
-    std::map<std::string, std::string> kv;
-    std::uint64_t line_no = 0;
-  };
-  std::map<std::uint64_t, Heartbeat> latest;  ///< by proc tag (0 = untagged)
-  std::uint64_t lines = 0;
+  std::map<std::uint64_t, obs::JsonValue> latest;  ///< by proc tag (0 = untagged)
   std::uint64_t skipped = 0;
   for (const auto& path : expand_inputs(input->second)) {
     std::ifstream in(path);
@@ -1088,18 +1084,14 @@ int cmd_top(int argc, char** argv) {
     std::string line;
     while (std::getline(in, line)) {
       if (line.empty()) continue;
-      auto obj = obs::flatjson::parse_object_arrays(line);
-      if (obs::flatjson::str(obj, "schema") != "hydra-stats-v1") {
+      auto beat = obs::parse_json(line);
+      if (!beat || beat->str("schema") != "hydra-stats-v1") {
         ++skipped;
         continue;
       }
-      ++lines;
-      const auto proc = obs::flatjson::unum(obj, "proc");
-      auto& slot = latest[proc];
       // Later lines supersede earlier ones per process; file order is
       // emission order within one process by construction.
-      slot.kv = std::move(obj);
-      slot.line_no = lines;
+      latest[beat->u64("proc")] = std::move(*beat);
     }
   }
   if (latest.empty()) {
@@ -1109,37 +1101,29 @@ int cmd_top(int argc, char** argv) {
     return 1;
   }
 
-  using obs::flatjson::str;
-  using obs::flatjson::unum;
   Table procs({"proc", "uptime (s)", "msgs", "bytes", "dropped", "egress q",
                "mailbox q", "decided", "round", "state"});
-  for (const auto& [proc, hb] : latest) {
-    const auto& o = hb.kv;
-    const double ms = std::strtod(str(o, "ms").c_str(), nullptr);
-    const std::uint64_t dropped =
-        unum(o, "auth_dropped") + unum(o, "decode_dropped");
+  for (const auto& [proc, o] : latest) {
+    const std::uint64_t dropped = o.u64("auth_dropped") + o.u64("decode_dropped");
     procs.row({proc == 0 ? std::string("-") : std::to_string(proc),
-               fmt(ms / 1000.0), fmt(unum(o, "messages")), fmt(unum(o, "bytes")),
-               fmt(dropped), fmt(unum(o, "egress_depth")),
-               fmt(unum(o, "mailbox_depth")), fmt(unum(o, "decided")),
-               fmt(unum(o, "round")),
-               unum(o, "final") != 0 ? "final" : "live"});
+               fmt(o.real("ms") / 1000.0), fmt(o.u64("messages")), fmt(o.u64("bytes")),
+               fmt(dropped), fmt(o.u64("egress_depth")),
+               fmt(o.u64("mailbox_depth")), fmt(o.u64("decided")),
+               fmt(o.u64("round")),
+               o.u64("final") != 0 ? "final" : "live"});
   }
   procs.print();
 
   Table parties({"party", "proc", "finished", "events", "round"});
   bool any_party = false;
-  for (const auto& [proc, hb] : latest) {
-    const auto it = hb.kv.find("parties");
-    if (it == hb.kv.end()) continue;
-    // "[[id,finished,events,round],...]" — flatten and chunk by 4.
-    const auto numbers = obs::flatjson::parse_reals(it->second);
-    for (std::size_t i = 0; i + 3 < numbers.size(); i += 4) {
+  for (const auto& [proc, o] : latest) {
+    // "parties":[[id,finished,events,round],...]
+    for (const auto& row : o["parties"].items()) {
+      const auto cell = row.reals();
+      if (cell.size() < 4) continue;
       any_party = true;
-      parties.row({fmt(numbers[i]),
-                   proc == 0 ? std::string("-") : std::to_string(proc),
-                   numbers[i + 1] != 0.0 ? "yes" : "no", fmt(numbers[i + 2]),
-                   fmt(numbers[i + 3])});
+      parties.row({fmt(cell[0]), proc == 0 ? std::string("-") : std::to_string(proc),
+                   cell[1] != 0.0 ? "yes" : "no", fmt(cell[2]), fmt(cell[3])});
     }
   }
   if (any_party) {
