@@ -1,144 +1,126 @@
 // Guardrail for the observability layer: with obs disabled, the simulator's
-// hot path must cost < 2% over an uninstrumented event loop.
+// hot path must cost < 2% over the same simulator with observability
+// compiled out.
 //
-// There is no uninstrumented build to compare against, so
-// obs_baseline_sim.{hpp,cpp} carries a replica of sim::Simulation's event
-// loop — same Event struct, ordering, Env virtual dispatch, delay-model draw
-// and queue discipline — with the `if (obs::enabled())` branches deleted,
-// compiled in its own translation unit so both loops pay the same cross-TU
-// inlining boundaries. Both run the same message-flood workload (PingParty:
-// each party starts one token that travels the ring for a fixed number of hops);
-// the gate statistic is the median ratio over back-to-back single-sim A/B
-// pairs, which cancels CPU-frequency drift. Exits nonzero when the overhead
-// bound is violated, so scripts can gate on it; deliberately NOT registered
-// in ctest — wall-clock comparisons are too noisy for a tier-1 gate.
+// The two sides are child processes running obs_overhead_side.cpp.
+// bench_obs_overhead_instrumented links the libraries like every program.
+// bench_obs_overhead_baseline compiles the sources of the simulator and of
+// every library it links — src/sim/simulation.cpp itself, not a copy —
+// under HYDRA_OBS_COMPILED_OUT (obs/context.hpp), which folds every hook
+// away; it has to be its own executable because every object in it must see
+// that definition. Each child times one simulation per request, so the pipe
+// round trip stays outside both timed regions.
 //
-// A third loop runs with obs enabled and a record-mode invariant-monitor
-// host installed, so the *monitored* overhead is reported alongside — the
-// pass/fail gate stays on the disabled path only (monitors are opt-in).
-// `--json PATH` writes the measurements in the shared hydra-bench-v1 schema
-// (bench_json.hpp) as a machine-readable artifact for CI trend tracking.
+// Both sides run the same message-flood workload, pinned to one CPU; the
+// gate statistic is the median ratio over back-to-back single-sim A/B pairs,
+// which cancels CPU-frequency drift. Exits nonzero when the overhead bound
+// is violated, so scripts can gate on it; deliberately NOT registered in
+// ctest — wall-clock comparisons are too noisy for a tier-1 gate.
 //
-// The profiler (obs/prof.hpp) is compiled into the instrumented loop but no
+// The instrumented side also times runs with obs enabled and a record-mode
+// invariant-monitor host installed, so the *monitored* overhead is reported
+// alongside — the pass/fail gate stays on the disabled path only (monitors
+// are opt-in). `--json PATH` writes the measurements in the shared
+// hydra-bench-v1 schema (bench_json.hpp) as a machine-readable artifact for
+// CI trend tracking.
+//
+// The profiler (obs/prof.hpp) is compiled into the instrumented side but no
 // Profiler is installed, so this bench also gates the profiler's DISABLED
 // cost: every HYDRA_PROF_SCOPE on the measured path must stay within the
 // same 2% budget (one thread-local load + branch each).
+#include <sched.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <chrono>
+#include <csignal>
 #include <cstdio>
-#include <cstring>
-#include <functional>
-#include <memory>
-#include <queue>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "bench_json.hpp"
-#include "common/assert.hpp"
-#include "common/rng.hpp"
-#include "obs/context.hpp"
-#include "obs/metrics.hpp"
-#include "obs/monitor.hpp"
-#include "obs_baseline_sim.hpp"
-#include "sim/delay.hpp"
-#include "sim/env.hpp"
-#include "sim/simulation.hpp"
+#include "obs_overhead_side.hpp"
 
-using namespace hydra;
+using hydra::benchobs::SideReply;
 
 namespace {
 
-/// Self-perpetuating message chain; pure event-loop load, no protocol logic.
-class PingParty : public sim::IParty {
- public:
-  explicit PingParty(int hops) : hops_(hops) {}
-
-  void start(sim::Env& env) override {
-    env.send((env.self() + 1) % static_cast<PartyId>(env.n()),
-             sim::Message{InstanceKey{1, 0, 0}, 0, {}});
-  }
-
-  void on_message(sim::Env& env, PartyId, const sim::Message& msg) override {
-    if (static_cast<int>(msg.key.b) >= hops_) return;
-    auto next = msg;
-    next.key.b += 1;
-    env.send((env.self() + 1) % static_cast<PartyId>(env.n()), next);
-  }
-
-  void on_timer(sim::Env&, std::uint64_t) override {}
-
- private:
-  int hops_;
-};
-
-// -------------------------------------------------------------------- timing
-
-constexpr std::size_t kParties = 16;
-constexpr int kHops = 2000;
+constexpr int kWarmup = 2;  ///< untimed sims per side after each start
 constexpr int kSimsPerTrial = 8;
-constexpr int kTrials = 9;
+constexpr int kTrials = 18;
 constexpr int kPairs = kSimsPerTrial * kTrials;  ///< single-sim A/B pairs
 
-std::uint64_t g_sink = 0;  ///< keeps run() results observable
-
-/// One simulation of the instrumented loop (obs disabled), timed alone.
-double time_one_instrumented() {
-  const auto start = std::chrono::steady_clock::now();
-  sim::Simulation sim({.n = kParties, .delta = 10, .seed = 1},
-                      std::make_unique<sim::FixedDelay>(10));
-  for (std::size_t p = 0; p < kParties; ++p) {
-    sim.add_party(std::make_unique<PingParty>(kHops));
-  }
-  g_sink += sim.run().events;
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-/// One simulation of the uninstrumented replica, timed alone.
-double time_one_baseline() {
-  const auto start = std::chrono::steady_clock::now();
-  benchobs::BaselineSim sim({.n = kParties, .delta = 10, .seed = 1},
-                  std::make_unique<sim::FixedDelay>(10));
-  for (std::size_t p = 0; p < kParties; ++p) {
-    sim.add_party(std::make_unique<PingParty>(kHops));
-  }
-  g_sink += sim.run();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-/// Worst-case enabled path: obs on, record-mode monitors installed. The
-/// PingParty workload exercises the per-delivery hooks (on_send + the
-/// begin/end_dispatch bracket); there are no protocol values so the
-/// geometry checks stay idle, which matches the cost monitors add to every
-/// message of a real run.
-double run_monitored() {
-  obs::Registry registry;
-  obs::MonitorHost monitors(obs::MonitorHost::Config{
-      .mode = obs::MonitorMode::kRecord,
-      .n = kParties,
-      .ts = 0,
-      .ta = 0,
-      .dim = 1,
-      .eps = 1.0,
-      .honest = std::vector<bool>(kParties, true),
-      .honest_inputs = {},
-  });
-  obs::Context ctx;
-  ctx.registry = &registry;
-  ctx.monitors = &monitors;
-  ctx.enabled = true;
-  const obs::ScopedContext scope(&ctx);
-
-  const auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < kSimsPerTrial; ++i) {
-    sim::Simulation sim({.n = kParties, .delta = 10, .seed = 1},
-                        std::make_unique<sim::FixedDelay>(10));
-    for (std::size_t p = 0; p < kParties; ++p) {
-      sim.add_party(std::make_unique<PingParty>(kHops));
+/// One side (obs_overhead_side.cpp), running as a child process on two
+/// pipes. The executables sit next to this one.
+class Side {
+ public:
+  explicit Side(const char* name)
+      : path_(std::filesystem::read_symlink("/proc/self/exe").parent_path() / name) {
+    int to_child[2];
+    int from_child[2];
+    if (::pipe(to_child) != 0) return;
+    if (::pipe(from_child) != 0) {
+      ::close(to_child[0]);
+      ::close(to_child[1]);
+      return;
     }
-    g_sink += sim.run().events;
+    pid_ = ::fork();
+    if (pid_ == 0) {
+      ::dup2(to_child[0], STDIN_FILENO);
+      ::dup2(from_child[1], STDOUT_FILENO);
+      for (const int fd : {to_child[0], to_child[1], from_child[0], from_child[1]}) {
+        ::close(fd);
+      }
+      ::execl(path_.c_str(), path_.c_str(), static_cast<char*>(nullptr));
+      ::_exit(127);
+    }
+    ::close(to_child[0]);
+    ::close(from_child[1]);
+    request_fd_ = to_child[1];
+    reply_fd_ = from_child[0];
   }
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
+
+  ~Side() {
+    if (request_fd_ >= 0) ::close(request_fd_);  // EOF: the child exits
+    if (reply_fd_ >= 0) ::close(reply_fd_);
+    if (pid_ > 0) ::waitpid(pid_, nullptr, 0);
+  }
+
+  Side(const Side&) = delete;
+  Side& operator=(const Side&) = delete;
+
+  /// Seconds of one timed simulation ('r', or 'm' for monitored). Exits the
+  /// bench if the child does not answer.
+  double time_one(char request = 'r') {
+    SideReply reply;
+    auto* out = reinterpret_cast<char*>(&reply);
+    std::size_t got = 0;
+    if (::write(request_fd_, &request, 1) == 1) {
+      while (got < sizeof reply) {
+        const ssize_t r = ::read(reply_fd_, out + got, sizeof reply - got);
+        if (r <= 0) break;
+        got += static_cast<std::size_t>(r);
+      }
+    }
+    if (got != sizeof reply || reply.events == 0) {
+      std::fprintf(stderr, "bench_obs_overhead: %s did not answer\n", path_.c_str());
+      std::exit(2);
+    }
+    events_ += reply.events;
+    return reply.seconds;
+  }
+
+  [[nodiscard]] std::uint64_t events() const noexcept { return events_; }
+
+ private:
+  std::filesystem::path path_;
+  pid_t pid_ = -1;
+  int request_fd_ = -1;
+  int reply_fd_ = -1;
+  std::uint64_t events_ = 0;
+};
 
 }  // namespace
 
@@ -149,45 +131,60 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // No context is installed, so obs is off: the pass/fail claim is about the
-  // DISABLED path.
-  HYDRA_ASSERT(!obs::enabled());
-
-  // Warmup: fault in code, populate allocator caches for all loops.
-  for (int i = 0; i < kSimsPerTrial; ++i) {
-    time_one_baseline();
-    time_one_instrumented();
+  // A side that dies must surface as a failed write, not kill this process.
+  std::signal(SIGPIPE, SIG_IGN);
+  // Both sides inherit this process's CPU, so neither gets a faster core or
+  // a quieter hyperthread sibling than the other. Unpinned if refused.
+  if (const int here = ::sched_getcpu(); here >= 0) {
+    cpu_set_t cpu;
+    CPU_ZERO(&cpu);
+    CPU_SET(static_cast<unsigned>(here), &cpu);
+    ::sched_setaffinity(0, sizeof cpu, &cpu);
   }
 
   // Single-sim A/B pairs, MEDIAN ratio across pairs. Comparing global minima
   // (best baseline vs best instrumented) lets a CPU-frequency burst during
   // one loop but not the other fabricate an overhead; pairing at the finest
-  // granularity (one ~3 ms simulation each, back to back) keeps both sides
+  // granularity (one ~2 ms simulation each, back to back) keeps both sides
   // of a pair inside the same frequency/thermal phase, and alternating which
-  // side runs first cancels the residual position bias. The median over the
-  // pairs is then robust in both directions: machine noise scatters ratios
-  // symmetrically around 1, while a genuine instrumentation cost shifts
-  // every ratio. A shared CI machine can still contaminate one whole
-  // measurement with transient load, so the gate allows up to three
-  // attempts and keeps the best — a real regression fails all of them.
-  const auto measure_pairs = [](double& base_out, double& inst_out) {
+  // side runs first cancels the residual position bias. Each trial starts
+  // both sides afresh: a process keeps its address-space layout for life,
+  // and a layout that happens to suit one side's caches better would bias
+  // every pair it runs. The median over the pairs is then robust in both
+  // directions: machine noise scatters ratios symmetrically around 1, while
+  // a genuine instrumentation cost shifts every ratio. A shared CI machine
+  // can still contaminate one whole measurement with transient load, so the
+  // gate allows up to three attempts and keeps the best — a real regression
+  // fails all of them.
+  std::uint64_t events = 0;
+  const auto measure_pairs = [&](double& base_out, double& inst_out) {
     std::vector<double> ratios;
     ratios.reserve(kPairs);
     double base_total = 0.0;
     double inst_total = 0.0;
-    for (int t = 0; t < kPairs; ++t) {
-      double base = 0.0;
-      double inst = 0.0;
-      if (t % 2 == 0) {
-        base = time_one_baseline();
-        inst = time_one_instrumented();
-      } else {
-        inst = time_one_instrumented();
-        base = time_one_baseline();
+    for (int trial = 0; trial < kTrials; ++trial) {
+      Side instrumented("bench_obs_overhead_instrumented");
+      Side baseline("bench_obs_overhead_baseline");
+      // Warmup: fault in code, populate allocator caches on both sides.
+      for (int i = 0; i < kWarmup; ++i) {
+        baseline.time_one();
+        instrumented.time_one();
       }
-      ratios.push_back(inst / base);
-      base_total += base;
-      inst_total += inst;
+      for (int t = 0; t < kSimsPerTrial; ++t) {
+        double base = 0.0;
+        double inst = 0.0;
+        if (t % 2 == 0) {
+          base = baseline.time_one();
+          inst = instrumented.time_one();
+        } else {
+          inst = instrumented.time_one();
+          base = baseline.time_one();
+        }
+        ratios.push_back(inst / base);
+        base_total += base;
+        inst_total += inst;
+      }
+      events += instrumented.events() + baseline.events();
     }
     std::sort(ratios.begin(), ratios.end());
     // Per-trial (kSimsPerTrial sims) means, for display/JSON.
@@ -214,11 +211,15 @@ int main(int argc, char** argv) {
 
   // The monitored loop is informational (not gated), so it runs after the
   // gated pairs to leave their trial cadence untouched.
+  Side monitored("bench_obs_overhead_instrumented");
   double best_mon = 1e9;
-  run_monitored();
+  monitored.time_one('m');
   for (int t = 0; t < kTrials; ++t) {
-    best_mon = std::min(best_mon, run_monitored());
+    double trial = 0.0;
+    for (int i = 0; i < kSimsPerTrial; ++i) trial += monitored.time_one('m');
+    best_mon = std::min(best_mon, trial);
   }
+  events += monitored.events();
 
   const double overhead = best_ratio - 1.0;
   const double mon_overhead = best_mon / best_base - 1.0;
@@ -226,7 +227,7 @@ int main(int argc, char** argv) {
               "mean instrumented %.1f ms, mean baseline %.1f ms per %d sims; "
               "%llu events)\n",
               overhead * 100.0, kPairs, best_inst * 1e3, best_base * 1e3,
-              kSimsPerTrial, static_cast<unsigned long long>(g_sink));
+              kSimsPerTrial, static_cast<unsigned long long>(events));
   std::printf("monitors-on overhead:  %.2f%%  (monitored %.1f ms; informational, "
               "not gated)\n",
               mon_overhead * 100.0, best_mon * 1e3);

@@ -25,6 +25,10 @@ using Bytes = std::vector<std::uint8_t>;
 
 class Writer {
  public:
+  Writer() = default;
+  /// Appends to `out` instead of starting empty; take() hands it back.
+  explicit Writer(Bytes out) noexcept : out_(std::move(out)) {}
+
   void u8(std::uint8_t v) { out_.push_back(v); }
 
   void u32(std::uint32_t v) {

@@ -5,9 +5,9 @@
 // `cause`) and the monitor dispatch bracket, so invariant violations raised
 // inside the handler are attributed to the message that triggered them.
 // Both backends dispatch through here — the simulator from its traced
-// closure, the thread transport from each party's worker loop (MonitorHost
-// keeps the in-dispatch cause per-thread, so concurrent workers attribute
-// independently).
+// delivery events, the thread transport from each party's worker loop
+// (MonitorHost keeps the in-dispatch cause per-thread, so concurrent workers
+// attribute independently).
 #pragma once
 
 #include <cstdint>

@@ -177,7 +177,8 @@ class BasicEgressPipeline {
     // profiler scope in particular) never inflates on_send past the inliner
     // threshold at call sites — bench_obs_overhead gates this path.
     if (obs::enabled()) {
-      observe(from, to, msg, now, out, injector != nullptr, drop_reason);
+      out.send_id = observe(from, to, msg, now, out.copies, out.delay[0], out.send_id,
+                            drop_reason);
     }
     return out;
   }
@@ -200,19 +201,24 @@ class BasicEgressPipeline {
 
  private:
   /// Enabled-path tail of on_send: lazy send-id allocation plus record(),
-  /// bracketed by the net.egress profiler phase. noinline keeps on_send
-  /// small enough to inline at every call site whatever this body grows to;
-  /// cold moves the body out of the hot sections entirely.
+  /// bracketed by the net.egress profiler phase; returns the send id.
+  /// noinline keeps on_send small enough to inline at every call site
+  /// whatever this body grows to; cold moves the body out of the hot
+  /// sections entirely. It takes scalars and returns the id rather than
+  /// touching the caller's Egress, so that struct never needs an address
+  /// and stays in registers on the disabled path.
 #if defined(__GNUC__) || defined(__clang__)
   __attribute__((noinline, cold))
 #endif
-  void observe(PartyId from, PartyId to, const sim::Message& msg, Time now,
-               Egress& out, bool injected, const char* drop_reason) {
+  std::uint64_t observe(PartyId from, PartyId to, const sim::Message& msg, Time now,
+                        std::uint32_t copies, Duration delay, std::uint64_t send_id,
+                        const char* drop_reason) {
     HYDRA_PROF_SCOPE("net.egress");
     if (!config_.eager_ids) {
-      out.send_id = compose_send_id(from, ids_.fetch_add_one() + 1);
+      send_id = compose_send_id(from, ids_.fetch_add_one() + 1);
     }
-    record(from, to, msg, now, out, injected, drop_reason);
+    record(from, to, msg, now, copies, delay, send_id, drop_reason);
+    return send_id;
   }
 
   /// Observability slow path. Event order is part of the trace contract:
@@ -220,7 +226,8 @@ class BasicEgressPipeline {
   /// trace event (self-deliveries stay visible in the trace — they carry
   /// causality — but never touch a counter), then any fault drop/dup event.
   void record(PartyId from, PartyId to, const sim::Message& msg, Time now,
-              const Egress& out, bool injected, const char* drop_reason) {
+              std::uint32_t copies, Duration delay, std::uint64_t send_id,
+              const char* drop_reason) {
     if (from != to) {
       auto& registry = obs::registry();
       registry.counter(config_.messages_counter).inc();
@@ -240,7 +247,7 @@ class BasicEgressPipeline {
         static constexpr std::array<double, 7> kBounds{0.25, 0.5, 1.0, 2.0,
                                                        4.0,  8.0, 16.0};
         registry.histogram(config_.delay_histogram, kBounds)
-            .observe(static_cast<double>(out.delay[0]) /
+            .observe(static_cast<double>(delay) /
                      static_cast<double>(config_.delta));
       }
       if (auto* mon = obs::monitors()) {
@@ -249,13 +256,12 @@ class BasicEgressPipeline {
     }
     if (auto* tr = obs::trace()) {
       tr->message_send(now, from, to, msg.key.tag, msg.key.a, msg.key.b,
-                       msg.kind, msg.wire_size(), out.send_id);
-      if (injected) {
-        if (drop_reason != nullptr) {
-          tr->fault(now, "drop", from, to, out.send_id, drop_reason);
-        } else if (out.copies == 2) {
-          tr->fault(now, "dup", from, to, out.send_id, "");
-        }
+                       msg.kind, msg.wire_size(), send_id);
+      // Only a fault injector drops or duplicates.
+      if (drop_reason != nullptr) {
+        tr->fault(now, "drop", from, to, send_id, drop_reason);
+      } else if (copies == 2) {
+        tr->fault(now, "dup", from, to, send_id, "");
       }
     }
   }

@@ -13,6 +13,13 @@
 // transport::ThreadNetwork) re-installs the creating thread's context on
 // each helper. Context fields other than the atomic counters are written
 // only before installation.
+//
+// HYDRA_OBS_COMPILED_OUT turns obs::enabled() and obs::prof_enabled() into
+// constexpr false and HYDRA_PROF_SCOPE into nothing, so every hook folds
+// away at compile time. Only bench_obs_overhead's baseline executable
+// defines it, as the uninstrumented build the disabled path is measured
+// against. Every object of a binary must agree on it: two definitions of
+// one inline function in one binary are an ODR violation.
 #pragma once
 
 #include <atomic>
@@ -62,7 +69,11 @@ inline thread_local Profiler* t_profiler = nullptr;
 /// Master switch. All instrumentation sites branch on this flag; when false
 /// they execute nothing else. It is the installed context's enabled bool,
 /// false when no context is installed.
+#ifdef HYDRA_OBS_COMPILED_OUT
+[[nodiscard]] constexpr bool enabled() noexcept { return false; }
+#else
 [[nodiscard]] inline bool enabled() noexcept { return detail::t_enabled; }
+#endif
 
 /// The invariant-monitor host for the current run, or nullptr.
 [[nodiscard]] inline MonitorHost* monitors() noexcept {
@@ -80,9 +91,13 @@ inline thread_local Profiler* t_profiler = nullptr;
 /// True when a phase profiler is installed on this thread — a single
 /// thread-local load, same cost class as obs::enabled(). Instrumented
 /// scopes (HYDRA_PROF_SCOPE, obs/prof.hpp) check this themselves.
+#ifdef HYDRA_OBS_COMPILED_OUT
+[[nodiscard]] constexpr bool prof_enabled() noexcept { return false; }
+#else
 [[nodiscard]] inline bool prof_enabled() noexcept {
   return detail::t_profiler != nullptr;
 }
+#endif
 
 /// The profiler active on this thread, or nullptr.
 [[nodiscard]] inline Profiler* profiler() noexcept { return detail::t_profiler; }

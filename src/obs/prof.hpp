@@ -210,7 +210,12 @@ class ProfScope {
 #define HYDRA_PROF_CONCAT(a, b) HYDRA_PROF_CONCAT_IMPL(a, b)
 
 /// Profiles the enclosing scope under `name` (a string literal; phases
-/// aggregate by name). Near-free when no profiler is installed.
+/// aggregate by name). Near-free when no profiler is installed, and nothing
+/// at all under HYDRA_OBS_COMPILED_OUT (obs/context.hpp).
+#ifdef HYDRA_OBS_COMPILED_OUT
+#define HYDRA_PROF_SCOPE(name)
+#else
 #define HYDRA_PROF_SCOPE(name)                                      \
   const ::hydra::obs::detail::ProfScope HYDRA_PROF_CONCAT(          \
       hydra_prof_scope_, __LINE__)(name)
+#endif

@@ -123,7 +123,11 @@ void AaParty::on_timer(Env& env, std::uint64_t /*timer_id*/) {
   // Timers exist only to re-evaluate time guards at their thresholds; the
   // timer phase makes boundary guards inclusive (see ObcInstance::step).
   init_.step(env, /*at_timer=*/true);
-  for (auto& [iteration, instance] : obcs_) instance.step(env, /*at_timer=*/true);
+  // Only the live iteration's ΠoBC has a pending time guard: earlier
+  // instances already output (advancing past an iteration needs its
+  // output), later ones have not started, and the message handlers keep
+  // every instance's witness set current.
+  if (it_ >= 1) obc(it_).step(env, /*at_timer=*/true);
   advance(env);
 }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/prof.hpp"
+
 namespace hydra::protocols {
 namespace {
 
@@ -23,6 +25,7 @@ Bytes encode_value(const geo::Vec& v) {
 
 std::optional<geo::Vec> decode_value(const Bytes& data, std::size_t dim,
                                      const hydra::domain::ValueDomain* dom) {
+  HYDRA_PROF_SCOPE("codec.decode_value");
   Reader r(data);
   auto coords = r.f64_vec(static_cast<std::uint32_t>(dim));
   if (!r.ok() || !r.at_end() || coords.size() != dim) return std::nullopt;
@@ -45,6 +48,7 @@ Bytes encode_pairs(const PairList& pairs) {
 std::optional<PairList> decode_pairs(const Bytes& data, std::size_t dim,
                                      std::size_t n,
                                      const hydra::domain::ValueDomain* dom) {
+  HYDRA_PROF_SCOPE("codec.decode_pairs");
   Reader r(data);
   const std::uint32_t count = r.u32();
   if (!r.ok() || count > n) return std::nullopt;
@@ -75,6 +79,7 @@ Bytes encode_party_set(const std::set<PartyId>& parties) {
 }
 
 std::optional<std::set<PartyId>> decode_party_set(const Bytes& data, std::size_t n) {
+  HYDRA_PROF_SCOPE("codec.decode_party_set");
   Reader r(data);
   const std::uint32_t count = r.u32();
   if (!r.ok() || count > n) return std::nullopt;

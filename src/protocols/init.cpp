@@ -7,6 +7,7 @@
 #include "common/assert.hpp"
 #include "domain/domain.hpp"
 #include "obs/metrics.hpp"
+#include "obs/prof.hpp"
 #include "obs/trace.hpp"
 #include "protocols/aa_iteration.hpp"
 #include "protocols/keys.hpp"
@@ -61,6 +62,7 @@ void InitInstance::on_rbc_report(Env& env, PartyId sender, const Bytes& payload)
 }
 
 void InitInstance::on_witness_set(Env& env, PartyId from, const Bytes& payload) {
+  HYDRA_PROF_SCOPE("init.witness_set");
   if (w2_.contains(from) || pending_witness_sets_.contains(from)) return;
   auto set = decode_party_set(payload, params_.n);
   if (!set || set->size() < params_.quorum()) return;

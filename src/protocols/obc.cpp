@@ -5,6 +5,7 @@
 #include "common/assert.hpp"
 #include "obs/metrics.hpp"
 #include "obs/monitor.hpp"
+#include "obs/prof.hpp"
 #include "obs/trace.hpp"
 #include "protocols/keys.hpp"
 
@@ -46,6 +47,7 @@ void ObcInstance::on_rbc_value(Env& env, PartyId sender, const Bytes& payload) {
 }
 
 void ObcInstance::on_report(Env& env, PartyId from, const Bytes& payload) {
+  HYDRA_PROF_SCOPE("obc.report");
   if (witnesses_.contains(from) || pending_reports_.contains(from)) return;
   auto report = decode_pairs(payload, params_.dim, params_.n, params_.domain);
   if (!report) return;

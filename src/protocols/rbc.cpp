@@ -5,6 +5,7 @@
 #include "common/assert.hpp"
 #include "obs/metrics.hpp"
 #include "obs/monitor.hpp"
+#include "obs/prof.hpp"
 #include "obs/trace.hpp"
 
 namespace hydra::protocols {
@@ -21,29 +22,39 @@ void note_transition(const Env& env, const InstanceKey& key, const char* what) {
 
 }  // namespace
 
+RbcInstance::RbcInstance(const Params& params, InstanceKey key)
+    : key_(key),
+      n_(static_cast<std::uint32_t>(params.n)),
+      t_(static_cast<std::uint32_t>(params.ts)),
+      voted_(params.n, 0) {}
+
 void RbcInstance::broadcast(Env& env, Bytes payload) {
   HYDRA_ASSERT_MSG(key_.a == env.self(), "only the designated sender may broadcast");
   note_transition(env, key_, "send");
-  Message msg{key_, kRbcSend, std::move(payload)};
-  env.broadcast(msg);
+  env.broadcast(Message{key_, kRbcSend, std::move(payload)});
 }
 
-void RbcInstance::send_echo(Env& env, const Bytes& payload) {
+void RbcInstance::send_echo(Env& env, const sim::Payload& payload) {
   sent_echo_ = true;
   note_transition(env, key_, "echo");
   env.broadcast(Message{key_, kRbcEcho, payload});
 }
 
-void RbcInstance::send_ready(Env& env, const Bytes& payload) {
+void RbcInstance::send_ready(Env& env, const sim::Payload& payload) {
   sent_ready_ = true;
   note_transition(env, key_, "ready");
   env.broadcast(Message{key_, kRbcReady, payload});
 }
 
-bool RbcInstance::on_message(Env& env, PartyId from, const Message& msg) {
-  const std::size_t n = params_.n;
-  const std::size_t t = params_.ts;
+RbcInstance::Tally& RbcInstance::tally_of(const sim::Payload& payload) {
+  for (Tally& tally : tallies_) {
+    if (tally.payload == payload) return tally;
+  }
+  return tallies_.emplace_back(Tally{payload});
+}
 
+bool RbcInstance::on_message(Env& env, PartyId from, const Message& msg) {
+  if (from >= n_) return false;
   switch (msg.kind) {
     case kRbcSend: {
       // Only the designated sender's initial send counts; an authenticated
@@ -54,25 +65,27 @@ bool RbcInstance::on_message(Env& env, PartyId from, const Message& msg) {
     }
     case kRbcEcho: {
       // First echo per voter is binding; equivocating echoes are dropped.
-      if (!echo_voters_.insert(from).second) return false;
-      auto& voters = echoes_[msg.payload];
-      voters.insert(from);
-      if (voters.size() >= n - t && !sent_ready_) send_ready(env, msg.payload);
+      if ((voted_[from] & kEchoed) != 0) return false;
+      voted_[from] |= kEchoed;
+      Tally& tally = tally_of(msg.payload);
+      tally.echoes += 1;
+      if (tally.echoes >= n_ - t_ && !sent_ready_) send_ready(env, tally.payload);
       return false;
     }
     case kRbcReady: {
-      if (!ready_voters_.insert(from).second) return false;
-      auto& voters = readies_[msg.payload];
-      voters.insert(from);
-      if (voters.size() >= t + 1 && !sent_ready_) send_ready(env, msg.payload);
-      if (voters.size() >= n - t && !delivered_) {
+      if ((voted_[from] & kReadied) != 0) return false;
+      voted_[from] |= kReadied;
+      Tally& tally = tally_of(msg.payload);
+      tally.readies += 1;
+      if (tally.readies >= t_ + 1 && !sent_ready_) send_ready(env, tally.payload);
+      if (tally.readies >= n_ - t_ && !delivered_) {
         delivered_ = true;
-        output_ = msg.payload;
+        output_ = tally.payload;
         note_transition(env, key_, "deliver");
         if (obs::enabled()) {
           if (auto* mon = obs::monitors()) {
             mon->on_rbc_deliver(env.now(), env.self(), key_.tag, key_.a, key_.b,
-                                msg.payload);
+                                output_);
           }
         }
         return true;
@@ -90,6 +103,7 @@ void RbcMux::broadcast(Env& env, InstanceKey key, Bytes payload) {
 
 bool RbcMux::handle(Env& env, PartyId from, const Message& msg) {
   if (msg.kind > kRbcReady) return false;
+  HYDRA_PROF_SCOPE("rbc.handle");
   auto& inst = instance(msg.key);
   if (inst.on_message(env, from, msg)) {
     on_deliver_(env, inst.key(), inst.output());

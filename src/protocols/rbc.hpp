@@ -14,12 +14,16 @@
 // designated sender); RbcMux owns all instances of a party and routes wire
 // messages to them, creating instances on demand so parties implicitly join
 // broadcasts they first hear about from others.
+//
+// Vote state is flat and bounded by n: one flag byte per party and one
+// tally per distinct payload voted for. Echoes and readies forward the
+// payload buffer they received (sim::Payload), so an honest broadcast's
+// bytes exist once however many parties relay them.
 #pragma once
 
 #include <functional>
-#include <map>
-#include <set>
 #include <unordered_map>
+#include <vector>
 
 #include "common/serialize.hpp"
 #include "common/types.hpp"
@@ -36,38 +40,52 @@ using sim::Message;
 
 class RbcInstance {
  public:
-  RbcInstance(const Params& params, InstanceKey key)
-      : params_(params), key_(key) {}
+  RbcInstance(const Params& params, InstanceKey key);
 
   /// Sender-side entry point: disseminates `payload` (Bracha's initial send).
   void broadcast(Env& env, Bytes payload);
 
   /// Feeds a wire message (kinds kRbcSend/kRbcEcho/kRbcReady) belonging to
   /// this instance. Returns true if this event made the instance deliver.
+  /// A `from` outside [0, n) is ignored.
   bool on_message(Env& env, PartyId from, const Message& msg);
 
   [[nodiscard]] bool delivered() const noexcept { return delivered_; }
-  [[nodiscard]] const Bytes& output() const noexcept { return output_; }
+  [[nodiscard]] const Bytes& output() const noexcept { return output_.bytes(); }
   [[nodiscard]] const InstanceKey& key() const noexcept { return key_; }
 
  private:
-  void send_echo(Env& env, const Bytes& payload);
-  void send_ready(Env& env, const Bytes& payload);
+  /// Votes counted for one distinct payload.
+  struct Tally {
+    sim::Payload payload;
+    std::uint32_t echoes = 0;
+    std::uint32_t readies = 0;
+  };
 
-  Params params_;
+  /// Flag bits of voted_.
+  static constexpr std::uint8_t kEchoed = 1;
+  static constexpr std::uint8_t kReadied = 2;
+
+  /// The tally of `payload`, added on its first vote.
+  Tally& tally_of(const sim::Payload& payload);
+  void send_echo(Env& env, const sim::Payload& payload);
+  void send_ready(Env& env, const sim::Payload& payload);
+
   InstanceKey key_;
+  std::uint32_t n_;
+  std::uint32_t t_;
 
   bool sent_echo_ = false;
   bool sent_ready_ = false;
   bool delivered_ = false;
-  Bytes output_;
+  sim::Payload output_;
 
   // One vote per sender: the first echo/ready a party sends is the one that
-  // counts; later equivocations are ignored.
-  std::set<PartyId> echo_voters_;
-  std::set<PartyId> ready_voters_;
-  std::map<Bytes, std::set<PartyId>> echoes_;
-  std::map<Bytes, std::set<PartyId>> readies_;
+  // counts; later equivocations are ignored. So counts suffice, and the
+  // tallies hold at most 2n entries (each voter adds at most one payload per
+  // kind).
+  std::vector<std::uint8_t> voted_;  ///< per party: kEchoed | kReadied
+  std::vector<Tally> tallies_;
 };
 
 /// Routes every RBC wire message of one party to the right instance.

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "obs/prof.hpp"
 
 namespace hydra::serve {
 
@@ -85,6 +86,7 @@ void InstanceMux::start(sim::Env& env) {
 }
 
 void InstanceMux::on_message(sim::Env& env, PartyId from, const sim::Message& msg) {
+  HYDRA_PROF_SCOPE("serve.route");
   const std::uint32_t instance = msg.key.tag >> kInstanceTagShift;
   if (instance >= config_.instances || status_[instance] == Status::kPending) {
     // Not a known live instance: either an id outside this run's range or a

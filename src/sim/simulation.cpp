@@ -29,11 +29,8 @@ class Simulation::PartyEnv final : public Env {
   }
 
   void set_timer(Time at, std::uint64_t timer_id) override {
-    Simulation* sim = sim_;
-    const PartyId id = id_;
-    sim_->schedule(std::max(at, sim_->now_), [sim, id, timer_id] {
-      sim->parties_[id]->on_timer(*sim->envs_[id], timer_id);
-    });
+    sim_->calendar_.push(std::max(at, sim_->now_), Phase::kTimer,
+                         Event{EventKind::kTimer, 0, id_, timer_id, {}});
   }
 
   [[nodiscard]] Time now() const override { return sim_->now_; }
@@ -71,22 +68,50 @@ void Simulation::add_party(std::unique_ptr<IParty> party) {
 }
 
 void Simulation::schedule(Time at, std::function<void()> fn) {
-  schedule_phase(at, Phase::kTimer, std::move(fn));
+  callbacks_.push_back(std::move(fn));
+  calendar_.push(at, Phase::kTimer,
+                 Event{EventKind::kCallback, 0, 0, callbacks_.size() - 1, {}});
 }
 
-void Simulation::schedule_phase(Time at, Phase phase, std::function<void()> fn) {
-  queue_.push(Event{at, phase, next_seq_++, std::move(fn)});
+std::uint32_t Simulation::Calendar::bucket_of(Time at) {
+  if (at == last_at_) return last_bucket_;
+  auto [it, opened] = open_.try_emplace(at, 0);
+  if (opened) {
+    if (free_buckets_.empty()) {
+      it->second = static_cast<std::uint32_t>(buckets_.size());
+      buckets_.emplace_back();
+    } else {
+      it->second = free_buckets_.back();
+      free_buckets_.pop_back();
+    }
+    ticks_.push_back(Tick{at, it->second});
+    std::push_heap(ticks_.begin(), ticks_.end(), Later{});
+  }
+  last_at_ = at;
+  last_bucket_ = it->second;
+  return it->second;
 }
 
-void Simulation::schedule_traced_delivery(Time at, PartyId from, PartyId to,
-                                          Message msg, std::uint64_t send_id) {
-  Simulation* sim = this;
-  schedule_phase(at, Phase::kMessage,
-                 [sim, from, to, send_id, msg = std::move(msg)] {
-    net::DeliveryGate::dispatch(sim->now_, from, to, msg, send_id, [&] {
-      sim->parties_[to]->on_message(*sim->envs_[to], from, msg);
-    });
-  });
+void Simulation::Calendar::push(Time at, Phase phase, Event&& ev) {
+  buckets_[bucket_of(at)].fifo[static_cast<int>(phase)].push_back(std::move(ev));
+}
+
+Simulation::Event Simulation::Calendar::pop() {
+  const Tick tick = ticks_.front();
+  Bucket& bucket = buckets_[tick.bucket];
+  auto& fifo = bucket.fifo[bucket.fifo[0].empty() ? 1 : 0];
+  Event ev = std::move(fifo.front());
+  fifo.pop_front();
+  if (bucket.fifo[0].empty() && bucket.fifo[1].empty()) {
+    // The tick is drained: close it before the event runs, so a handler
+    // pushing to this same tick reopens it at the top of the heap.
+    std::pop_heap(ticks_.begin(), ticks_.end(), Later{});
+    ticks_.pop_back();
+    open_.erase(tick.at);
+    free_buckets_.push_back(tick.bucket);
+    if (last_at_ == tick.at) last_at_ = -1;
+  }
+  return ev;
 }
 
 void Simulation::deliver(PartyId from, PartyId to, Message msg) {
@@ -100,38 +125,45 @@ void Simulation::deliver(PartyId from, PartyId to, Message msg) {
   const auto egress = pipeline_.on_send(from, to, msg, now_, base, injector_);
   if (egress.copies == 0) return;  // crashed endpoint dropped it
 
-  if (egress.send_id != 0) {
-    // Observability was on for this send (lazy id mode allocates ids only
-    // then, and the obs state cannot change while run() executes): schedule
-    // traced deliveries. A duplicate shares the original's send id — one
-    // send event, two delivers with the same cause.
-    schedule_traced_delivery(now_ + egress.delay[0], from, to,
-                             egress.copies == 2 ? Message(msg) : std::move(msg),
-                             egress.send_id);
-    if (egress.copies == 2) {
-      schedule_traced_delivery(now_ + egress.delay[1], from, to, std::move(msg),
-                               egress.send_id);
-    }
-    return;
-  }
-  // Disabled hot path: one atomic load inside the pipeline, then the lean
-  // closure — held to < 2% overhead by bench_obs_overhead.
-  Simulation* sim = this;
+  // Observability was on for this send exactly when it got a send id (lazy
+  // id mode allocates ids only then). A duplicate shares the original's send
+  // id — one send event, two delivers with the same cause — and its payload
+  // buffer.
+  const EventKind kind =
+      egress.send_id != 0 ? EventKind::kTracedDeliver : EventKind::kDeliver;
   if (egress.copies == 2) {
-    Message copy = msg;
-    schedule_phase(now_ + egress.delay[0], Phase::kMessage,
-                   [sim, from, to, msg = std::move(msg)] {
-      sim->parties_[to]->on_message(*sim->envs_[to], from, msg);
-    });
-    schedule_phase(now_ + egress.delay[1], Phase::kMessage,
-                   [sim, from, to, msg = std::move(copy)] {
-      sim->parties_[to]->on_message(*sim->envs_[to], from, msg);
-    });
-    return;
+    calendar_.push(now_ + egress.delay[0], Phase::kMessage,
+                   Event{kind, from, to, egress.send_id, msg});
   }
-  schedule_phase(now_ + egress.delay[0], Phase::kMessage,
-                 [sim, from, to, msg = std::move(msg)] {
-    sim->parties_[to]->on_message(*sim->envs_[to], from, msg);
+  calendar_.push(now_ + egress.delay[egress.copies - 1], Phase::kMessage,
+                 Event{kind, from, to, egress.send_id, std::move(msg)});
+}
+
+void Simulation::dispatch(Event& ev) {
+  switch (ev.kind) {
+    case EventKind::kDeliver:
+      parties_[ev.to]->on_message(*envs_[ev.to], ev.from, ev.msg);
+      return;
+    case EventKind::kTracedDeliver:
+      dispatch_traced(ev);
+      return;
+    case EventKind::kTimer:
+      parties_[ev.to]->on_timer(*envs_[ev.to], ev.arg);
+      return;
+    case EventKind::kStart:
+      parties_[ev.to]->start(*envs_[ev.to]);
+      return;
+    case EventKind::kCallback: {
+      const auto fn = std::move(callbacks_[ev.arg]);
+      fn();
+      return;
+    }
+  }
+}
+
+void Simulation::dispatch_traced(Event& ev) {
+  net::DeliveryGate::dispatch(now_, ev.from, ev.to, ev.msg, ev.arg, [&] {
+    parties_[ev.to]->on_message(*envs_[ev.to], ev.from, ev.msg);
   });
 }
 
@@ -139,8 +171,7 @@ SimStats Simulation::run() {
   HYDRA_ASSERT_MSG(parties_.size() == config_.n, "add exactly n parties before run()");
   // All parties start simultaneously at local time 0.
   for (PartyId id = 0; id < parties_.size(); ++id) {
-    Simulation* sim = this;
-    schedule_phase(0, Phase::kMessage, [sim, id] { sim->parties_[id]->start(*sim->envs_[id]); });
+    calendar_.push(0, Phase::kMessage, Event{EventKind::kStart, 0, id, 0, {}});
   }
 
   // Hoisted: the context (and with it the monitor host and profiler) cannot
@@ -150,21 +181,17 @@ SimStats Simulation::run() {
   obs::MonitorHost* mon = obs::enabled() ? obs::monitors() : nullptr;
 
   if (mon == nullptr && !obs::prof_enabled()) {
-    while (!queue_.empty()) {
-      if (stats_.events >= config_.max_events || queue_.top().at > config_.max_time) {
+    while (!calendar_.empty()) {
+      const Time at = calendar_.next_tick();
+      if (stats_.events >= config_.max_events || at > config_.max_time) {
         stats_.hit_limit = true;
         break;
       }
-      // Move the event out instead of copying: top() is const-qualified
-      // only because mutating the ordering fields would corrupt the heap;
-      // moving the closure (and its captured payload) right before pop()
-      // leaves the comparator-visible scalars untouched.
-      Event ev = std::move(const_cast<Event&>(queue_.top()));
-      queue_.pop();
-      HYDRA_ASSERT(ev.at >= now_);
-      now_ = ev.at;
+      HYDRA_ASSERT(at >= now_);
+      now_ = at;
+      Event ev = calendar_.pop();
       stats_.events += 1;
-      ev.fn();
+      dispatch(ev);
     }
   } else {
     drain_observed(mon);
@@ -193,8 +220,9 @@ net::BackendStats Simulation::run(std::vector<std::unique_ptr<IParty>>& parties,
 
 void Simulation::drain_observed(obs::MonitorHost* mon) {
   HYDRA_PROF_SCOPE("sim.run");
-  while (!queue_.empty()) {
-    if (stats_.events >= config_.max_events || queue_.top().at > config_.max_time) {
+  while (!calendar_.empty()) {
+    const Time at = calendar_.next_tick();
+    if (stats_.events >= config_.max_events || at > config_.max_time) {
       stats_.hit_limit = true;
       break;
     }
@@ -202,17 +230,16 @@ void Simulation::drain_observed(obs::MonitorHost* mon) {
       stats_.monitor_aborted = true;
       break;
     }
-    Event ev = std::move(const_cast<Event&>(queue_.top()));
-    queue_.pop();
-    HYDRA_ASSERT(ev.at >= now_);
-    now_ = ev.at;
+    HYDRA_ASSERT(at >= now_);
+    now_ = at;
+    Event ev = calendar_.pop();
     stats_.events += 1;
     {
       // Per-event phase: everything a handler does (net.deliver, aa.*,
       // geo.*) nests under sim.event, so self-time here is pure event-loop
       // bookkeeping.
       HYDRA_PROF_SCOPE("sim.event");
-      ev.fn();
+      dispatch(ev);
     }
   }
 }

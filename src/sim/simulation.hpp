@@ -1,15 +1,18 @@
 // Deterministic discrete-event simulator, and the "sim" net backend.
 //
-// A single priority queue of (time, sequence) events drives n parties. One
-// master seed fully determines the run: delay draws, adversary choices and
-// event ordering are all derived from it. Ties in virtual time break by
-// submission order, which is itself deterministic.
+// A calendar of typed event records drives n parties: the distinct pending
+// ticks in order, each tick holding one FIFO per phase (message deliveries
+// before timers). Events therefore run in (tick, phase, push order), and
+// push order is deterministic. One master seed fully determines the run:
+// delay draws, adversary choices and event ordering are all derived from
+// it.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
-#include <queue>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -85,7 +88,74 @@ class Simulation final : public net::Backend {
   /// tau_start + c * Delta observes every message sent c rounds earlier.
   enum class Phase : std::uint8_t { kMessage = 0, kTimer = 1 };
 
-  void schedule_phase(Time at, Phase phase, std::function<void()> fn);
+  /// What a queued event does when its tick comes. A typed record instead
+  /// of a closure: no allocation per event, and the payload stays shared.
+  enum class EventKind : std::uint8_t {
+    kDeliver,        ///< parties_[to]->on_message(from, msg)
+    kTracedDeliver,  ///< the same through net::DeliveryGate; arg = send id
+    kTimer,          ///< parties_[to]->on_timer(arg)
+    kStart,          ///< parties_[to]->start()
+    kCallback,       ///< callbacks_[arg]() — the schedule() test hook
+  };
+
+  struct Event {
+    EventKind kind;
+    PartyId from;
+    PartyId to;
+    std::uint64_t arg;
+    Message msg;
+  };
+
+  /// The pending events: each distinct tick owns one FIFO per phase, and a
+  /// min-heap orders the ticks. Every push appends to its (tick, phase)
+  /// FIFO, so FIFO order is push order and the pop order is exactly
+  /// (tick, phase, push order) — including a zero-delay self-send pushed
+  /// from a timer handler, which lands in the current tick's message FIFO
+  /// and runs before the timers still queued on that tick. A drained tick's
+  /// bucket goes to a free list and serves a later tick.
+  class Calendar {
+   public:
+    [[nodiscard]] bool empty() const noexcept { return ticks_.empty(); }
+    /// Earliest pending tick; the calendar must not be empty.
+    [[nodiscard]] Time next_tick() const noexcept { return ticks_.front().at; }
+    void push(Time at, Phase phase, Event&& ev);
+    /// Removes and returns the first event of next_tick().
+    Event pop();
+
+   private:
+    struct Bucket {
+      std::deque<Event> fifo[2];  ///< indexed by Phase
+    };
+    struct Tick {
+      Time at;
+      std::uint32_t bucket;
+    };
+    /// Heap order that keeps the earliest tick on top.
+    struct Later {
+      bool operator()(const Tick& a, const Tick& b) const noexcept { return a.at > b.at; }
+    };
+    /// The bucket of pending tick `at`, opened on first use.
+    std::uint32_t bucket_of(Time at);
+
+    std::deque<Bucket> buckets_;  ///< a deque: buckets never move
+    std::vector<std::uint32_t> free_buckets_;
+    std::vector<Tick> ticks_;  ///< min-heap on `at`, one entry per open bucket
+    std::unordered_map<Time, std::uint32_t> open_;  ///< tick -> bucket
+    /// The last tick pushed to and its bucket: a broadcast under a fixed
+    /// delay pushes n events to one tick in a row.
+    Time last_at_ = -1;
+    std::uint32_t last_bucket_ = 0;
+  };
+
+  /// Runs one popped event.
+  void dispatch(Event& ev);
+
+  /// The traced-delivery case of dispatch(), out of line so the lean loop
+  /// stays small (bench_obs_overhead).
+#if defined(__GNUC__) || defined(__clang__)
+  __attribute__((noinline, cold))
+#endif
+  void dispatch_traced(Event& ev);
 
   /// Drain loop for observed runs (monitors and/or profiler active). Kept
   /// out of run() — and out of the hot text sections — so the lean loop the
@@ -97,36 +167,20 @@ class Simulation final : public net::Backend {
   void drain_observed(obs::MonitorHost* mon);
 
   /// Runs the posted message through the shared net::EgressPipeline
-  /// (accounting, fault injection, ids, obs emission) and schedules the
-  /// surviving copies. The simulator itself contains no egress logic.
+  /// (accounting, fault injection, ids, obs emission) and queues the
+  /// surviving copies. While observability is on the copies are traced
+  /// deliveries (net::DeliveryGate); the fault injector may queue one send
+  /// twice (duplication), both copies carrying the same send id. The
+  /// simulator itself contains no egress logic.
   void deliver(PartyId from, PartyId to, Message msg);
-
-  /// Queues one traced delivery (net::DeliveryGate: deliver event + monitor
-  /// dispatch bracket). Used by the obs-enabled path; the fault injector may
-  /// queue the same send twice (duplication), both copies carrying the same
-  /// `send_id`.
-  void schedule_traced_delivery(Time at, PartyId from, PartyId to, Message msg,
-                                std::uint64_t send_id);
 
   std::unique_ptr<DelayModel> delay_model_;
   Rng rng_;
   faults::FaultInjector* injector_ = nullptr;
 
-  struct Event {
-    Time at;
-    Phase phase;
-    std::uint64_t seq;
-    std::function<void()> fn;
-  };
-  struct EventOrder {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.at != b.at) return a.at > b.at;
-      if (a.phase != b.phase) return a.phase > b.phase;
-      return a.seq > b.seq;
-    }
-  };
-  std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
-  std::uint64_t next_seq_ = 0;
+  Calendar calendar_;
+  /// schedule() callbacks, indexed by their events' `arg`.
+  std::vector<std::function<void()>> callbacks_;
   /// The shared send-side path (plain counters — single-threaded). Lazy id
   /// mode: trace send ids are allocated only while obs is enabled, so the
   /// disabled path is untouched and same-seed traces stay identical.

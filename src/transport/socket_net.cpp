@@ -321,17 +321,12 @@ void SocketNetwork::writer_loop(PartyId from) {
     for (;;) {
       const PartyId to = item->from;  // destination, by writer-queue convention
       if (out_fds_[from * n + to] >= 0) {
-        const Bytes body = wire::encode_msg(from, to, item->cause, item->msg);
+        const std::size_t body =
+            wire::append_msg_frame(buffers[to], from, to, item->cause, item->msg);
         // Per-frame size accounting happens at append; the flush-latency
         // histogram covers the whole coalesced write (flush_link).
-        health_.frame_bytes_buckets[net::TransportHealth::bucket_of(body.size())]
+        health_.frame_bytes_buckets[net::TransportHealth::bucket_of(body)]
             .fetch_add(1, std::memory_order_relaxed);
-        Bytes& buffer = buffers[to];
-        const auto len = static_cast<std::uint32_t>(body.size());
-        for (int i = 0; i < 4; ++i) {
-          buffer.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
-        }
-        buffer.insert(buffer.end(), body.begin(), body.end());
         if (frames[to]++ == 0) touched.push_back(to);
       }
       // Drain every sibling already due so it rides the same flush. The

@@ -89,9 +89,8 @@ struct Frame {
   return w.take();
 }
 
-[[nodiscard]] inline Bytes encode_msg(PartyId from, PartyId to, std::uint64_t seq,
-                                      const sim::Message& m) {
-  Writer w;
+inline void write_msg(Writer& w, PartyId from, PartyId to, std::uint64_t seq,
+                      const sim::Message& m) {
   w.u8(static_cast<std::uint8_t>(FrameType::kMsg));
   w.u32(m.key.tag);
   w.u32(m.key.a);
@@ -100,8 +99,30 @@ struct Frame {
   w.u32(to);
   w.u64(seq);
   w.u8(m.kind);
-  w.bytes(m.payload);
+  w.bytes(m.payload.bytes());
+}
+
+[[nodiscard]] inline Bytes encode_msg(PartyId from, PartyId to, std::uint64_t seq,
+                                      const sim::Message& m) {
+  Writer w;
+  write_msg(w, from, to, seq, m);
   return w.take();
+}
+
+/// Appends one length-prefixed MSG frame to `buffer` (a link's coalescing
+/// buffer), encoding in place. Returns the body size.
+inline std::size_t append_msg_frame(Bytes& buffer, PartyId from, PartyId to,
+                                    std::uint64_t seq, const sim::Message& m) {
+  const std::size_t prefix_at = buffer.size();
+  Writer w(std::move(buffer));
+  w.u32(0);  // the length prefix, filled in once the body is written
+  write_msg(w, from, to, seq, m);
+  buffer = w.take();
+  const std::size_t body = buffer.size() - prefix_at - 4;
+  for (int i = 0; i < 4; ++i) {
+    buffer[prefix_at + i] = static_cast<std::uint8_t>(body >> (8 * i));
+  }
+  return body;
 }
 
 [[nodiscard]] inline Bytes encode_fin(PartyId from) {

@@ -26,7 +26,7 @@ namespace {
 sim::Message test_message(std::size_t payload_bytes = 8) {
   sim::Message msg;
   msg.kind = 1;
-  msg.payload.assign(payload_bytes, 0x5a);
+  msg.payload = Bytes(payload_bytes, 0x5a);
   return msg;
 }
 

@@ -149,6 +149,50 @@ TEST(Rbc, ForgedQuorumCannotDeliver) {
   for (auto* p : f.parties) EXPECT_TRUE(p->deliveries.empty());
 }
 
+TEST(Rbc, FirstVotePerVoterIsBinding) {
+  // One instance fed directly (n = 4, t = 1): a ready needs n - t = 3 echoes
+  // or t + 1 = 2 readies for one payload, and only a voter's first echo and
+  // first ready count.
+  class RecordingEnv : public sim::Env {
+   public:
+    void send(PartyId, sim::Message msg) override { sent.push_back(std::move(msg)); }
+    void broadcast(const sim::Message& msg) override { sent.push_back(msg); }
+    void set_timer(Time, std::uint64_t) override {}
+    [[nodiscard]] Time now() const override { return 0; }
+    [[nodiscard]] PartyId self() const override { return 0; }
+    [[nodiscard]] std::size_t n() const override { return 4; }
+
+    std::vector<sim::Message> sent;
+  };
+
+  const InstanceKey key{kRbcInitValue, 0, 0};
+  const auto vote = [&key](std::uint8_t kind, std::uint8_t fill) {
+    return sim::Message{key, kind, payload_of(fill)};
+  };
+  protocols::RbcInstance inst(make_params(4, 1), key);
+  RecordingEnv env;
+
+  // Voter 3 echoes A, then B: only A counts, so B has two echoes, not three.
+  inst.on_message(env, 3, vote(kRbcEcho, 0xA));
+  inst.on_message(env, 3, vote(kRbcEcho, 0xB));
+  inst.on_message(env, 1, vote(kRbcEcho, 0xB));
+  inst.on_message(env, 2, vote(kRbcEcho, 0xB));
+  EXPECT_TRUE(env.sent.empty());
+
+  // Voter 3 readies A, then B: B has one ready, so no amplification.
+  inst.on_message(env, 3, vote(kRbcReady, 0xA));
+  inst.on_message(env, 3, vote(kRbcReady, 0xB));
+  inst.on_message(env, 1, vote(kRbcReady, 0xB));
+  EXPECT_TRUE(env.sent.empty());
+
+  // A second voter's first ready for B does amplify.
+  inst.on_message(env, 2, vote(kRbcReady, 0xB));
+  ASSERT_EQ(env.sent.size(), 1u);
+  EXPECT_EQ(env.sent[0].kind, kRbcReady);
+  EXPECT_EQ(env.sent[0].payload.bytes(), payload_of(0xB));
+  EXPECT_FALSE(inst.delivered());
+}
+
 TEST(Rbc, ReadyAmplificationDeliversToLateParties) {
   // Conditional liveness: t+1 readies make an honest party send ready even
   // if it missed the echoes. Model: sender + echoes delayed away from party

@@ -2,10 +2,13 @@
 // delay models, broadcast accounting, and end-to-end determinism.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "faults/faults.hpp"
 #include "sim/delay.hpp"
 #include "sim/env.hpp"
 #include "sim/message.hpp"
@@ -184,6 +187,121 @@ TEST(Simulation, DeterministicAcrossRuns) {
   EXPECT_EQ(s1.bytes, s2.bytes);
   EXPECT_EQ(s1.end_time, s2.end_time);
   EXPECT_EQ(l1, l2);
+}
+
+// The queue contract: events run in (tick, phase, push order), messages
+// before timers on a tick. Every push below takes a stamp from one counter,
+// so stamps are push order, and every dispatch logs its (tick, phase, stamp)
+// plus how many events had run when it was pushed. Each dispatched event
+// must then be the least (tick, phase, stamp) of the events pending at that
+// moment. That is "the log is sorted by (tick, phase, stamp)", except that a
+// handler may push an event that sorts before ones already queued: a
+// zero-delay self-send from a timer handler runs before the timers left on
+// its tick. Events whose tick the test knows — timers, self-sends and
+// schedule() callbacks — must also run exactly then. The schedule mixes
+// UniformDelay, duplicated messages (a copy keeps its stamp), several timers
+// per tick and the schedule() hook.
+TEST(Simulation, EventOrderIsTickPhaseSeq) {
+  constexpr std::size_t kN = 4;
+  constexpr Duration kDelta = 20;
+  constexpr std::uint64_t kMaxStamps = 3000;
+
+  struct Dispatch {
+    Time tick;
+    int phase;  // 0 = message or start, 1 = timer or schedule() callback
+    std::uint64_t stamp;
+    std::size_t pending_from;  // events run before it was pushed
+  };
+  std::vector<Dispatch> log;
+  std::map<std::uint64_t, std::size_t> pending_from;
+  std::map<std::uint64_t, Time> due;  // stamp -> tick, where the test knows it
+  std::uint64_t next_stamp = 0;
+  Rng rng(11);
+  Simulation sim({.n = kN, .delta = kDelta, .seed = 5},
+                 std::make_unique<UniformDelay>(1, kDelta));
+
+  const auto stamp_push = [&] {
+    pending_from[next_stamp] = log.size();
+    return next_stamp++;
+  };
+  const auto record = [&](Time tick, int phase, std::uint64_t stamp) {
+    log.push_back({tick, phase, stamp, pending_from.at(stamp)});
+    if (const auto it = due.find(stamp); it != due.end()) {
+      EXPECT_EQ(tick, it->second) << "stamp " << stamp;
+    }
+  };
+  const auto send = [&](Env& env, PartyId to) {
+    const std::uint64_t stamp = stamp_push();
+    if (to == env.self()) due[stamp] = env.now();  // no delay, no faults
+    Writer w;
+    w.u64(stamp);
+    env.send(to, make_msg(1, w.take()));
+  };
+  const auto set_timer = [&](Env& env, Time at) {
+    const std::uint64_t stamp = stamp_push();
+    due[stamp] = at;
+    env.set_timer(at, stamp);
+  };
+  const auto schedule = [&](Time at) {
+    const std::uint64_t stamp = stamp_push();
+    due[stamp] = at;
+    sim.schedule(at, [&record, at, stamp] { record(at, 1, stamp); });
+  };
+
+  // Traffic grows from every handler until the stamp budget is spent. A
+  // handler often ends on a zero-delay self-send, so a tick can drain and be
+  // pushed to again from its own last event.
+  const auto react = [&](Env& env) {
+    if (next_stamp >= kMaxStamps) return;
+    for (int i = 0; i < 2; ++i) send(env, static_cast<PartyId>(rng.next_below(kN)));
+    if (rng.next_below(2) == 0) {
+      set_timer(env, env.now() + static_cast<Time>(rng.next_below(3)));
+    }
+    if (rng.next_below(3) == 0) send(env, env.self());
+  };
+  for (std::size_t i = 0; i < kN; ++i) {
+    auto r = std::make_unique<Recorder>();
+    r->on_start = [&](Env& env) {
+      record(env.now(), 0, env.self());  // starts are pushed first, in id order
+      react(env);
+    };
+    r->on_msg = [&](Env& env, PartyId, const Message& msg) {
+      Reader reader(msg.payload.bytes());
+      record(env.now(), 0, reader.u64());
+      react(env);
+    };
+    r->on_tmr = [&](Env& env, std::uint64_t stamp) {
+      record(env.now(), 1, stamp);
+      if (next_stamp >= kMaxStamps) return;
+      send(env, env.self());          // zero delay: jumps this tick's timers
+      set_timer(env, env.now());      // joins this tick's timers, at the back
+      set_timer(env, env.now() + 1);  // several timers land on one tick
+      if (rng.next_below(8) == 0) schedule(env.now() + 2);
+      react(env);
+    };
+    sim.add_party(std::move(r));
+  }
+  for (PartyId id = 0; id < kN; ++id) stamp_push();  // the start events
+  for (const Time at : {Time{0}, Time{5}, Time{5}}) schedule(at);
+  const auto plan = faults::parse_fault_plan("dup(p=0.2,skew=10)");
+  ASSERT_TRUE(plan.has_value());
+  faults::FaultInjector injector(*plan,
+                                 {.seed = 3, .synchronous = false, .delta = kDelta});
+  sim.set_fault_injector(&injector);
+  sim.run();
+
+  ASSERT_GE(next_stamp, kMaxStamps);
+  ASSERT_GT(log.size(), next_stamp);  // duplicates ran as extra events
+  const auto key = [](const Dispatch& d) { return std::tuple(d.tick, d.phase, d.stamp); };
+  std::size_t jumps = 0;
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    if (i > 0 && key(log[i]) < key(log[i - 1])) ++jumps;
+    for (std::size_t j = i + 1; j < log.size(); ++j) {
+      if (log[j].pending_from > i) continue;  // pushed after log[i] ran
+      ASSERT_LE(key(log[i]), key(log[j])) << "dispatch " << i << " ran too early";
+    }
+  }
+  EXPECT_GT(jumps, 0u);  // the self-send-from-timer case was exercised
 }
 
 TEST(Simulation, UniformDelayStaysInBounds) {
