@@ -16,7 +16,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "baselines/async_mh.hpp"
 #include "harness/runner.hpp"
 #include "harness/table.hpp"
 
@@ -82,8 +81,10 @@ int main() {
                       Adversary::kMixed, 2, 3),
         },
         {"baseline OK at (D+1)t<n", "hybrid matches it", "hybrid, hostile mix"});
+  // async-mh is ΠAA at ts = ta = t, feasible iff (D+1) t + t = (D+2) t < n.
+  const protocols::Params async_mh{.n = 7, .ts = 2, .ta = 2, .dim = 2};
   std::printf("  async-mh at (n=7, t=2, D=2): feasible = %s (needs n > 8)\n\n",
-              baselines::async_mh_feasible({.n = 7, .t = 2, .dim = 2}) ? "yes" : "NO");
+              async_mh.feasible() ? "yes" : "NO");
 
   std::printf("Scene B: asynchronous network, n = 8 (so (D+1) ts + ta = 7 < 8 "
               "keeps the hybrid protocol feasible at ts = 2, ta = 1).\n");

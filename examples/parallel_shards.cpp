@@ -3,16 +3,20 @@
 // A deployment rarely needs to agree on a single vector: a federated model
 // is split into shards, a robot swarm negotiates rendezvous and formation
 // scale at once, a telemetry fabric reconciles several sensor channels.
-// SessionRouter runs one independent ΠAA instance per session over the same
-// authenticated channels, with per-session dimensions and epsilons, and a
-// single Byzantine party attacking all of them simultaneously.
+// Each party hosts a serve::InstanceMux that runs one independent ΠAA
+// instance per shard over the same authenticated channels, with per-shard
+// dimensions and epsilons. One Byzantine party takes part only in shard 0,
+// where it turns hostile mid-run; the other shards see it silent. Exits 1
+// when a shard fails.
 #include <cstdio>
+#include <map>
 #include <memory>
 
 #include "adversary/behaviors.hpp"
 #include "common/rng.hpp"
 #include "geometry/convex.hpp"
-#include "protocols/session.hpp"
+#include "protocols/aa.hpp"
+#include "serve/instance_mux.hpp"
 #include "sim/delay.hpp"
 #include "sim/simulation.hpp"
 
@@ -57,11 +61,25 @@ int main() {
     }
   }
 
-  std::vector<protocols::SessionRouter*> honest;
+  const auto shard_params = [](const Shard& shard) {
+    protocols::Params p;
+    p.n = kParties;
+    p.ts = 1;
+    p.ta = 1;
+    p.dim = shard.dim;
+    p.eps = shard.eps;
+    p.delta = 1000;
+    return p;
+  };
+
+  // A shard's instance retires once all five honest muxes decided it.
+  serve::InstanceDirectory directory(static_cast<std::uint32_t>(shards.size()),
+                                     kParties - 1);
+  std::vector<serve::InstanceMux*> honest;
   for (PartyId id = 0; id < kParties; ++id) {
     if (id == 3) {
-      // The attacker turns hostile mid-run; its key-space sabotage hits
-      // every session's iteration traffic.
+      // A plain party, not a mux: its traffic carries instance 0's tags, so
+      // it turns hostile mid-run inside shard 0 and is silent elsewhere.
       protocols::Params p;
       p.n = kParties;
       p.ts = 1;
@@ -72,19 +90,26 @@ int main() {
           p, geo::Vec{0.0, 0.0}, 9 * p.delta));
       continue;
     }
-    auto router = std::make_unique<protocols::SessionRouter>();
-    for (const auto& shard : shards) {
-      protocols::Params p;
-      p.n = kParties;
-      p.ts = 1;
-      p.ta = 1;
-      p.dim = shard.dim;
-      p.eps = shard.eps;
-      p.delta = 1000;
-      router->add_session(shard.session, p, inputs[shard.session][id]);
-    }
-    honest.push_back(router.get());
-    sim.add_party(std::move(router));
+    serve::InstanceMux::Config cfg;
+    cfg.instances = static_cast<std::uint32_t>(shards.size());
+    cfg.linger = 8 * 1000;
+    cfg.gc_retry = 1000;
+    cfg.directory = &directory;
+    cfg.make_party = [&, id](std::uint32_t k) {
+      return std::make_unique<protocols::AaParty>(shard_params(shards[k]),
+                                                  inputs[shards[k].session][id]);
+    };
+    cfg.decided = [](const sim::IParty& party, std::uint32_t) {
+      return static_cast<const protocols::AaParty&>(party).has_output();
+    };
+    cfg.snapshot = [](std::uint32_t, const sim::IParty& party,
+                      serve::InstanceRecord& rec) {
+      rec.has_output = true;
+      rec.output = static_cast<const protocols::AaParty&>(party).output();
+    };
+    auto mux = std::make_unique<serve::InstanceMux>(std::move(cfg));
+    honest.push_back(mux.get());
+    sim.add_party(std::move(mux));
   }
 
   const auto stats = sim.run();
@@ -100,14 +125,14 @@ int main() {
       if (i != 3) honest_inputs.push_back(inputs[shard.session][i]);
     }
     bool valid = true;
-    for (auto* r : honest) {
-      const auto& party = r->session(shard.session);
-      if (!party.has_output()) {
+    for (auto* mux : honest) {
+      const auto& rec = mux->record(shard.session);
+      if (!rec.has_output) {
         valid = false;
         continue;
       }
-      outputs.push_back(party.output());
-      valid = valid && geo::in_convex_hull(honest_inputs, party.output(), 1e-6);
+      outputs.push_back(rec.output);
+      valid = valid && geo::in_convex_hull(honest_inputs, rec.output, 1e-6);
     }
     const double diam = geo::diameter(outputs);
     const bool ok = valid && outputs.size() == honest.size() && diam <= shard.eps;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
@@ -17,6 +16,7 @@
 #include "harness/stats.hpp"
 #include "harness/table.hpp"
 #include "obs/json.hpp"
+#include "obs/prof.hpp"
 
 // Build provenance for the bench JSON context block; the harness CMakeLists
 // injects the real values, and the fallbacks keep out-of-tree builds
@@ -68,21 +68,13 @@ std::string bench_json(std::string_view bench_name,
   }
   w.end_array();
   w.end_object();
-  std::string out = w.take();
-  out.push_back('\n');
-  return out;
+  return w.take();
 }
 
 bool write_bench_json(const std::string& path, std::string_view bench_name,
                       std::span<const BenchMetric> metrics,
                       const BenchContext& context) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    HYDRA_LOG_ERROR("perf: cannot open %s for writing", path.c_str());
-    return false;
-  }
-  out << bench_json(bench_name, metrics, context);
-  return static_cast<bool>(out);
+  return obs::write_document(path, bench_json(bench_name, metrics, context), "perf");
 }
 
 // ---------------------------------------------------------------------------
@@ -225,29 +217,9 @@ std::optional<std::vector<PhaseRow>> load_perf_json(const std::string& path) {
 
 namespace {
 
-/// Representative latency of log2 bucket i (covering [2^(i-1), 2^i) ns for
-/// i >= 1): the geometric midpoint, the unbiased pick under the bucket's
-/// exponential spacing.
-double bucket_mid_ns(std::size_t i) {
-  if (i == 0) return 0.5;
-  return std::ldexp(std::sqrt(2.0), static_cast<int>(i) - 1);
-}
-
-/// Nearest-rank percentile over the bucket counts (the same convention
-/// harness::Stats::percentile uses on raw samples), resolved to the bucket
-/// midpoint. 0 for an empty histogram.
-double bucket_percentile(const std::vector<std::uint64_t>& buckets, double p) {
-  std::uint64_t total = 0;
-  for (const auto b : buckets) total += b;
-  if (total == 0) return 0.0;
-  const auto rank = static_cast<std::uint64_t>(
-      std::max(1.0, std::ceil(p / 100.0 * static_cast<double>(total))));
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    cum += buckets[i];
-    if (cum >= rank) return bucket_mid_ns(i);
-  }
-  return bucket_mid_ns(buckets.size() - 1);
+/// Approximate latency percentile of a phase's profiler buckets.
+double phase_percentile(const PhaseRow& row, double p) {
+  return obs::log2_bucket_percentile(row.buckets, p, obs::Profiler::kBucketShift);
 }
 
 std::string fmt_us(double ns) { return fmt(ns / 1e3); }
@@ -274,8 +246,8 @@ std::string render_phase_report(std::vector<PhaseRow> rows, std::size_t top_k) {
     table.row({r.name, fmt(r.count), fmt_ms(total), fmt_ms(self),
                fmt(self_sum > 0.0 ? 100.0 * self / self_sum : 0.0),
                fmt_us(r.count > 0 ? total / count : 0.0),
-               fmt_us(bucket_percentile(r.buckets, 50.0)),
-               fmt_us(bucket_percentile(r.buckets, 95.0)),
+               fmt_us(phase_percentile(r, 50.0)),
+               fmt_us(phase_percentile(r, 95.0)),
                fmt_us(static_cast<double>(r.max_ns))});
   }
   std::ostringstream out;

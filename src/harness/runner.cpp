@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -11,7 +10,6 @@
 
 #include "adversary/behaviors.hpp"
 #include "adversary/schedulers.hpp"
-#include "baselines/async_mh.hpp"
 #include "baselines/sync_lockstep.hpp"
 #include "common/assert.hpp"
 #include "common/log.hpp"
@@ -53,7 +51,7 @@ std::unique_ptr<sim::IParty> make_byzantine(Adversary kind, const RunSpec& spec,
       return std::make_unique<adversary::SilentParty>();
     case Adversary::kCrash:
       return std::make_unique<adversary::CrashParty>(
-          std::make_unique<AaParty>(p, input), (10 + Time(id) * 3) * p.delta);
+          std::make_unique<AaParty>(p, input), crash_tick(p, id));
     case Adversary::kEquivocator: {
       geo::Vec base(p.dim, 0.0);
       base[0] = 3.0 * spec.workload_scale;
@@ -353,16 +351,7 @@ void write_metrics_json(const RunSpec& spec, const RunResult& result,
 
   w.end_object();
 
-  std::FILE* f = std::fopen(spec.metrics_out.c_str(), "wb");
-  if (f == nullptr) {
-    HYDRA_LOG_ERROR("metrics: cannot open %s for writing", spec.metrics_out.c_str());
-    return;
-  }
-  const std::string& doc = w.str();
-  bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  ok = std::fputc('\n', f) != EOF && ok;
-  ok = std::fclose(f) == 0 && ok;
-  if (!ok) HYDRA_LOG_ERROR("metrics: short write to %s", spec.metrics_out.c_str());
+  obs::write_document(spec.metrics_out, w.str(), "metrics");
 }
 
 /// The hydra-perf-v1 phase-profile export: a short spec echo (enough to know
@@ -393,16 +382,7 @@ void write_perf_json(const RunSpec& spec, const obs::Profiler& profiler) {
   w.raw(std::string_view(phases).substr(1, phases.size() - 2));
   w.end_object();
 
-  std::FILE* f = std::fopen(spec.perf_out.c_str(), "wb");
-  if (f == nullptr) {
-    HYDRA_LOG_ERROR("perf: cannot open %s for writing", spec.perf_out.c_str());
-    return;
-  }
-  const std::string& doc = w.str();
-  bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  ok = std::fputc('\n', f) != EOF && ok;
-  ok = std::fclose(f) == 0 && ok;
-  if (!ok) HYDRA_LOG_ERROR("perf: short write to %s", spec.perf_out.c_str());
+  obs::write_document(spec.perf_out, w.str(), "perf");
 }
 
 /// RAII for the per-run observability session. Every run gets its OWN
@@ -557,6 +537,27 @@ std::vector<std::string> backend_names() {
   return net::backend_names();
 }
 
+std::unique_ptr<net::Backend> make_backend(std::string_view field,
+                                           const std::string& name,
+                                           const net::BackendConfig& config,
+                                           std::unique_ptr<sim::DelayModel> delay) {
+  ensure_backends_registered();
+  auto backend = net::make_backend(name, config, std::move(delay));
+  if (backend == nullptr) {
+    // Actionable, not just fatal: name the backend that failed to resolve
+    // AND every name that would have worked.
+    std::string known;
+    for (const auto& registered : backend_names()) {
+      if (!known.empty()) known += ", ";
+      known += registered;
+    }
+    const std::string msg = "unknown " + std::string(field) + " \"" + name +
+                            "\"; registered backends: " + known;
+    HYDRA_ASSERT_MSG(backend != nullptr, msg.c_str());
+  }
+  return backend;
+}
+
 std::string to_string(Network network) {
   switch (network) {
     case Network::kSyncWorstCase: return "sync-worst";
@@ -681,16 +682,8 @@ RunResult execute(const RunSpec& spec) {
   // Inputs and the honest mask are pure functions of the spec; computing
   // them before the session starts lets the monitor config see the honest
   // inputs without emitting any observability events.
-  auto inputs =
-      make_inputs(spec.workload, p.n, p.dim, spec.workload_scale, spec.seed);
-  if (dom != nullptr) {
-    // Discrete domains generate their own inputs (vertex labels); the
-    // Euclidean workload generators keep serving every other run untouched.
-    if (auto domain_inputs =
-            dom->make_inputs(p.n, p.dim, spec.workload_scale, spec.seed)) {
-      inputs = std::move(*domain_inputs);
-    }
-  }
+  const auto inputs =
+      make_inputs(spec.workload, p.n, p.dim, spec.workload_scale, spec.seed, dom);
   std::vector<bool> honest_mask(p.n, true);
   std::vector<geo::Vec> honest_inputs;
   for (PartyId id = 0; id < p.n; ++id) {
@@ -733,30 +726,17 @@ RunResult execute(const RunSpec& spec) {
   // spec ("sim" = deterministic discrete-event simulator, "threads" = real
   // thread-per-party transport), hand it the same DelayModel, parties, and
   // injector, and read back backend-neutral stats.
-  ensure_backends_registered();
   auto backend =
-      net::make_backend(spec.backend,
-                        net::BackendConfig{.n = p.n,
-                                           .delta = p.delta,
-                                           .seed = spec.seed,
-                                           .max_time = spec.max_time,
-                                           .us_per_tick = spec.us_per_tick,
-                                           .timeout_ms = spec.timeout_ms,
-                                           .endpoints = spec.socket_endpoints,
-                                           .local_parties = spec.socket_local},
-                        make_network(spec));
-  if (backend == nullptr) {
-    // Actionable, not just fatal: name the backend that failed to resolve
-    // AND every name that would have worked.
-    std::string known;
-    for (const auto& name : net::backend_names()) {
-      if (!known.empty()) known += ", ";
-      known += name;
-    }
-    const std::string msg = "unknown RunSpec::backend \"" + spec.backend +
-                            "\"; registered backends: " + known;
-    HYDRA_ASSERT_MSG(backend != nullptr, msg.c_str());
-  }
+      make_backend("RunSpec::backend", spec.backend,
+                   net::BackendConfig{.n = p.n,
+                                      .delta = p.delta,
+                                      .seed = spec.seed,
+                                      .max_time = spec.max_time,
+                                      .us_per_tick = spec.us_per_tick,
+                                      .timeout_ms = spec.timeout_ms,
+                                      .endpoints = spec.socket_endpoints,
+                                      .local_parties = spec.socket_local},
+                   make_network(spec));
 
   std::optional<faults::FaultInjector> injector;
   if (!fault_plan.empty()) {

@@ -20,6 +20,11 @@ namespace hydra::sim {
 class DelayModel;
 }
 
+namespace hydra::net {
+class Backend;
+struct BackendConfig;
+}
+
 namespace hydra::harness {
 
 /// Network condition under which the run executes. "Sync" variants respect
@@ -212,6 +217,21 @@ struct RunResult {
 /// execute() and the multi-instance serving engine (src/serve/), which must
 /// model network conditions identically to single runs.
 [[nodiscard]] std::unique_ptr<sim::DelayModel> make_network(const RunSpec& spec);
+
+/// Builds the registered backend `name` over the network model `delay`,
+/// registering the builtins first. An unknown name aborts with a message
+/// naming `field`, the rejected name and every registered backend. Shared
+/// by execute() and the serving engine.
+[[nodiscard]] std::unique_ptr<net::Backend> make_backend(
+    std::string_view field, const std::string& name,
+    const net::BackendConfig& config, std::unique_ptr<sim::DelayModel> delay);
+
+/// The tick at which Adversary::kCrash stops corrupted party `id` in a run
+/// that starts at tick 0. The serving engine shifts it by each instance's
+/// admission tick.
+[[nodiscard]] inline Time crash_tick(const protocols::Params& p, PartyId id) {
+  return (10 + Time(id) * 3) * p.delta;
+}
 
 /// Assembles the MonitorHost configuration for a spec with resolved params
 /// `p`, or nullopt when monitors are off. Which monitors arm depends on the

@@ -1,54 +1,17 @@
 #include "harness/sweep.hpp"
 
-#include <cstdio>
-#include <deque>
+#include <atomic>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <sstream>
 #include <thread>
 
 #include "common/assert.hpp"
-#include "common/log.hpp"
 #include "harness/stats.hpp"
 #include "obs/json.hpp"
 
 namespace hydra::harness {
 namespace {
-
-/// One deque per worker: the owner pops from the front, thieves take from
-/// the back (classic work-stealing discipline — owners and thieves contend
-/// on opposite ends, and stolen work is the oldest, i.e. the work the owner
-/// is furthest from reaching). A plain mutex per deque is plenty here: tasks
-/// are whole simulator runs, so queue operations are nowhere near the
-/// bottleneck.
-class StealQueue {
- public:
-  void push(std::size_t index) {
-    const std::lock_guard lock(mutex_);
-    items_.push_back(index);
-  }
-
-  std::optional<std::size_t> pop_front() {
-    const std::lock_guard lock(mutex_);
-    if (items_.empty()) return std::nullopt;
-    const std::size_t index = items_.front();
-    items_.pop_front();
-    return index;
-  }
-
-  std::optional<std::size_t> steal_back() {
-    const std::lock_guard lock(mutex_);
-    if (items_.empty()) return std::nullopt;
-    const std::size_t index = items_.back();
-    items_.pop_back();
-    return index;
-  }
-
- private:
-  std::mutex mutex_;
-  std::deque<std::size_t> items_;
-};
 
 /// The cell identity: every spec field except seed and the output paths.
 std::string cell_key(const RunSpec& spec) {
@@ -96,34 +59,25 @@ std::vector<RunResult> run_sweep(const std::vector<RunSpec>& grid, std::size_t j
     return results;
   }
 
-  // Deal round-robin so neighbouring (similar-cost) cells spread across
-  // workers; stealing balances whatever asymmetry remains.
-  std::vector<StealQueue> queues(workers);
-  for (std::size_t i = 0; i < grid.size(); ++i) queues[i % workers].push(i);
-
+  // Workers claim the next unrun index from one shared counter: the grid is
+  // known up front, so no worker idles while a spec is unclaimed.
+  std::atomic<std::size_t> next{0};
   std::mutex done_mutex;
-  auto work = [&](std::size_t worker_id) {
-    for (;;) {
-      std::optional<std::size_t> index = queues[worker_id].pop_front();
-      for (std::size_t k = 1; !index && k < workers; ++k) {
-        index = queues[(worker_id + k) % workers].steal_back();
-      }
-      // All queues drained: since the grid is fully enqueued up front no new
-      // work can appear, so one empty scan means this worker is done.
-      if (!index) return;
+  auto work = [&] {
+    for (std::size_t index; (index = next.fetch_add(1)) < grid.size();) {
       // Distinct elements of `results`; no lock needed. execute() installs
       // the run's own obs::Context on this thread.
-      results[*index] = execute(grid[*index]);
+      results[index] = execute(grid[index]);
       if (on_done) {
         const std::lock_guard lock(done_mutex);
-        on_done(*index, results[*index]);
+        on_done(index, results[index]);
       }
     }
   };
 
   std::vector<std::thread> threads;
   threads.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(work, w);
+  for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(work);
   for (auto& thread : threads) thread.join();
   return results;
 }
@@ -259,19 +213,7 @@ bool write_sweep_summary_json(const std::string& path,
   w.end_array();
   w.end_object();
 
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    HYDRA_LOG_ERROR("sweep: cannot open %s for writing", path.c_str());
-    return false;
-  }
-  const std::string& doc = w.str();
-  // A summary that silently truncates (disk full, quota) is worse than none:
-  // downstream tooling would trust a partial cell table. Check every write.
-  bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  ok = std::fputc('\n', f) != EOF && ok;
-  ok = std::fclose(f) == 0 && ok;
-  if (!ok) HYDRA_LOG_ERROR("sweep: short write to %s", path.c_str());
-  return ok;
+  return obs::write_document(path, w.str(), "sweep");
 }
 
 }  // namespace hydra::harness

@@ -1,5 +1,5 @@
-// Parallel experiment engine: executes a grid of RunSpecs on a
-// work-stealing thread pool.
+// Parallel experiment engine: executes a grid of RunSpecs on a pool of
+// worker threads.
 //
 // Each run executes inside its own isolated obs::Context (installed by
 // execute() itself, see runner.cpp), so per-run metrics, traces, and
@@ -30,11 +30,11 @@ namespace hydra::harness {
 using SweepProgressFn = std::function<void(std::size_t index, const RunResult&)>;
 
 /// Executes every spec in `grid` and returns the results in input order.
-/// `jobs` = 1 runs inline on the calling thread; otherwise a work-stealing
-/// pool of min(resolve_jobs(jobs), grid.size()) workers executes the grid
-/// concurrently. Specs are dealt round-robin into per-worker queues; an
-/// idle worker steals from the back of its neighbours' queues, so a few
-/// expensive cells (large n, async networks) cannot serialize the sweep.
+/// `jobs` = 1 runs inline on the calling thread; otherwise a pool of
+/// min(resolve_jobs(jobs), grid.size()) workers executes the grid
+/// concurrently, each claiming the next unrun spec from one shared counter,
+/// so a few expensive cells (large n, async networks) cannot serialize the
+/// sweep.
 [[nodiscard]] std::vector<RunResult> run_sweep(const std::vector<RunSpec>& grid,
                                                std::size_t jobs = 0,
                                                const SweepProgressFn& on_done = {});

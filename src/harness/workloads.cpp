@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/assert.hpp"
+#include "domain/domain.hpp"
 
 namespace hydra::harness {
 
@@ -27,8 +28,12 @@ std::optional<Workload> parse_workload(std::string_view name) {
 }
 
 std::vector<geo::Vec> make_inputs(Workload workload, std::size_t n, std::size_t dim,
-                                  double scale, std::uint64_t seed) {
+                                  double scale, std::uint64_t seed,
+                                  const domain::ValueDomain* dom) {
   HYDRA_ASSERT(n > 0 && dim > 0);
+  if (dom != nullptr) {
+    if (auto own = dom->make_inputs(n, dim, scale, seed)) return std::move(*own);
+  }
   Rng rng(seed ^ 0x3c6ef372fe94f82bULL);
   std::vector<geo::Vec> inputs;
   inputs.reserve(n);

@@ -9,6 +9,10 @@
 #include "common/rng.hpp"
 #include "geometry/vec.hpp"
 
+namespace hydra::domain {
+class ValueDomain;
+}
+
 namespace hydra::harness {
 
 enum class Workload {
@@ -25,9 +29,11 @@ enum class Workload {
 [[nodiscard]] std::optional<Workload> parse_workload(std::string_view name);
 
 /// Generates n inputs in R^dim. Deterministic in (workload, n, dim, scale,
-/// seed).
+/// seed). A domain with its own generator (the discrete domains label
+/// vertices) replaces the workload; nullptr and Euclid keep it.
 [[nodiscard]] std::vector<geo::Vec> make_inputs(Workload workload, std::size_t n,
                                                 std::size_t dim, double scale,
-                                                std::uint64_t seed);
+                                                std::uint64_t seed,
+                                                const domain::ValueDomain* dom = nullptr);
 
 }  // namespace hydra::harness

@@ -38,10 +38,12 @@ struct WireStats {
 /// through BackendStats → RunResult into the metrics JSON
 /// "transport_health" block and the rendered report.
 struct TransportHealth {
-  /// Bucket count shared by both histograms; bucket k covers values in
-  /// [2^k, 2^(k+1)) (bucket 0 also takes 0). Matches the profiler's log2
-  /// shape so report tooling can reuse its percentile math.
+  /// Bucket count shared by both histograms; bucket k holds the values of
+  /// bit width k + 1, i.e. [2^k, 2^(k+1)) (bucket 0 also takes 0) — one
+  /// bucket below obs::Profiler's layout. Read with
+  /// obs::log2_bucket_percentile at kBucketShift.
   static constexpr std::size_t kBuckets = 40;
+  static constexpr int kBucketShift = 1;
 
   static constexpr std::size_t bucket_of(std::uint64_t v) {
     const auto w = static_cast<std::size_t>(std::bit_width(v));

@@ -23,6 +23,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/log.hpp"
+
 namespace hydra::obs {
 
 class JsonWriter {
@@ -135,6 +137,25 @@ class JsonWriter {
   std::string out_;
   bool fresh_ = true;
 };
+
+/// Replaces the file at `path` with `doc` and a trailing newline: the one
+/// way hydra stores a document. Every write is checked, because a document
+/// that silently truncates (disk full, quota) is worse than none — tooling
+/// would trust a partial table. On failure logs "<what>: ..." and returns
+/// false.
+inline bool write_document(const std::string& path, std::string_view doc,
+                           const char* what) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) {
+    HYDRA_LOG_ERROR("%s: cannot open %s for writing", what, path.c_str());
+    return false;
+  }
+  bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
+  ok = std::fputc('\n', f) != EOF && ok;
+  ok = std::fclose(f) == 0 && ok;
+  if (!ok) HYDRA_LOG_ERROR("%s: short write to %s", what, path.c_str());
+  return ok;
+}
 
 /// One value read back by parse_json(). Objects keep their members in
 /// document order, and numbers keep their source text, so u64 send ids, fnv

@@ -1,8 +1,24 @@
 #include "obs/prof.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 #include "obs/json.hpp"
 
 namespace hydra::obs {
+
+double log2_bucket_percentile(std::span<const std::uint64_t> buckets, double p,
+                              int shift) {
+  std::uint64_t total = 0;
+  for (const auto b : buckets) total += b;
+  if (total == 0) return 0.0;
+  const auto rank = static_cast<std::uint64_t>(
+      std::max(1.0, std::ceil(std::clamp(p, 0.0, 100.0) / 100.0 *
+                              static_cast<double>(total))));
+  std::size_t i = 0;
+  for (std::uint64_t seen = buckets[0]; seen < rank;) seen += buckets[++i];
+  return std::exp2(static_cast<double>(i) + shift - 0.5);
+}
 
 std::vector<Profiler::Snapshot> Profiler::snapshot() const {
   const std::lock_guard lock(mutex_);

@@ -49,6 +49,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -57,12 +58,22 @@
 
 namespace hydra::obs {
 
+/// Nearest-rank percentile p (0..100) of a log2 histogram whose bucket i
+/// holds the values of bit width i + shift (std::bit_width; the layouts in
+/// use name their shift as kBucketShift). The rank is ceil(p/100 * N), as
+/// harness::Stats ranks raw samples; the result is the geometric midpoint
+/// 2^(i + shift - 1/2) of the bucket holding that rank, or 0 for an empty
+/// histogram.
+[[nodiscard]] double log2_bucket_percentile(std::span<const std::uint64_t> buckets,
+                                            double p, int shift);
+
 class Profiler {
  public:
-  /// Log2 latency buckets: bucket i counts samples with
+  /// Log2 latency buckets: bucket i counts samples of bit width i, i.e.
   /// 2^(i-1) <= ns < 2^i (bucket 0 is [0,1) ns); the last bucket absorbs
   /// everything >= 2^(kBuckets-2) ns (~9 minutes).
   static constexpr std::size_t kBuckets = 40;
+  static constexpr int kBucketShift = 0;
 
   /// Per-phase accumulator. Relaxed atomics throughout: concurrent worker
   /// threads (threads backend) aggregate without ordering; readers snapshot

@@ -9,8 +9,10 @@
 #include <vector>
 
 #include "domain/domain.hpp"
+#include "net/wire_stats.hpp"
 #include "obs/json.hpp"
 #include "obs/monitor.hpp"
+#include "obs/prof.hpp"
 
 namespace hydra::obs {
 namespace {
@@ -307,25 +309,6 @@ void kv_table(Renderer& r, const JsonValue& block) {
   r.table({"key", "value"}, rows);
 }
 
-/// Nearest-rank percentile over a log2 histogram (bucket k covers
-/// [2^k, 2^(k+1))), reported at the bucket's geometric midpoint — the same
-/// approximation the phase-profile report uses, so the two read alike.
-double bucket_percentile(const std::vector<std::uint64_t>& buckets, double q) {
-  std::uint64_t total = 0;
-  for (const auto b : buckets) total += b;
-  if (total == 0) return 0.0;
-  const auto rank =
-      static_cast<std::uint64_t>(q * static_cast<double>(total - 1)) + 1;
-  std::uint64_t seen = 0;
-  for (std::size_t k = 0; k < buckets.size(); ++k) {
-    seen += buckets[k];
-    if (seen >= rank) {
-      return static_cast<double>(std::uint64_t{1} << k) * 1.5;
-    }
-  }
-  return 0.0;
-}
-
 }  // namespace
 
 std::size_t render_report(std::istream& trace, const std::string& metrics_json,
@@ -451,10 +434,12 @@ std::size_t render_report(std::istream& trace, const std::string& metrics_json,
         std::uint64_t count = 0;
         for (const auto b : buckets) count += b;
         if (count == 0) return;
-        hist_rows.push_back({name, std::to_string(count),
-                             fmt_double(bucket_percentile(buckets, 0.50)) + " " + unit,
-                             fmt_double(bucket_percentile(buckets, 0.95)) + " " + unit,
-                             fmt_double(bucket_percentile(buckets, 1.0)) + " " + unit});
+        const auto at = [&](double p) {
+          return fmt_double(log2_bucket_percentile(
+                     buckets, p, net::TransportHealth::kBucketShift)) +
+                 " " + unit;
+        };
+        hist_rows.push_back({name, std::to_string(count), at(50.0), at(95.0), at(100.0)});
       };
       hist_row("frame write latency", flush, "ns");
       hist_row("frame body size", sizes, "B");

@@ -69,15 +69,8 @@ ServeResult run_serve(const ServeSpec& spec) {
   // compare against exactly such runs).
   std::vector<std::vector<geo::Vec>> inputs(spec.instances);
   for (std::uint32_t k = 0; k < spec.instances; ++k) {
-    inputs[k] = harness::make_inputs(spec.workload, p.n, p.dim,
-                                     spec.workload_scale,
-                                     instance_seed(spec.seed, k));
-    if (p.domain != nullptr) {
-      if (auto di = p.domain->make_inputs(p.n, p.dim, spec.workload_scale,
-                                          instance_seed(spec.seed, k))) {
-        inputs[k] = std::move(*di);
-      }
-    }
+    inputs[k] = harness::make_inputs(spec.workload, p.n, p.dim, spec.workload_scale,
+                                     instance_seed(spec.seed, k), p.domain);
   }
   const auto is_corrupt_slot = [&](std::uint32_t instance, PartyId id) {
     return corrupt[instance] && id < spec.corruptions;
@@ -137,7 +130,7 @@ ServeResult run_serve(const ServeSpec& spec) {
           const Time arrival = Time{instance} * spec.interarrival;
           return std::make_unique<adversary::CrashParty>(
               std::make_unique<AaParty>(p, inputs[instance][id]),
-              arrival + (10 + Time(id) * 3) * p.delta);
+              arrival + harness::crash_tick(p, id));
         }
         return std::make_unique<adversary::SilentParty>();
       }
@@ -170,9 +163,8 @@ ServeResult run_serve(const ServeSpec& spec) {
     parties.push_back(std::move(mux));
   }
 
-  harness::ensure_backends_registered();
-  auto backend = net::make_backend(
-      spec.backend,
+  auto backend = harness::make_backend(
+      "ServeSpec::backend", spec.backend,
       net::BackendConfig{.n = p.n,
                          .delta = p.delta,
                          .seed = spec.seed,
@@ -182,7 +174,6 @@ ServeResult run_serve(const ServeSpec& spec) {
                          .endpoints = spec.endpoints,
                          .instance_tag_limit = spec.instances},
       harness::make_network(run_spec));
-  HYDRA_ASSERT_MSG(backend != nullptr, "serve: unknown ServeSpec::backend");
 
   const auto finished = [](const sim::IParty& party, PartyId) {
     return static_cast<const InstanceMux&>(party).all_done();

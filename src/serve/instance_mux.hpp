@@ -1,9 +1,10 @@
 // Multi-instance multiplexer: one sim::IParty hosting many concurrent
-// protocol instances behind a single party slot of a shared backend.
-//
-// The serving layer's routing contract mirrors protocols/session.hpp's
-// SessionRouter, but with slab-allocated per-instance state and epoch-based
-// GC instead of a fixed session table:
+// protocol instances behind a single party slot of a shared backend — the
+// paper's identification numbers (Section 2) extended to whole instances.
+// It hosts every multi-instance party in the repository: the serving
+// engine's fleets (serve/engine.hpp), the coordinate-wise baseline's
+// per-coordinate agreements and examples/parallel_shards. Per-instance state
+// is slab-allocated and retired by epoch-based GC:
 //
 //   egress   the per-instance Env stamps the serving-instance id into the
 //            high bits of InstanceKey::tag (common/types.hpp layout; inner

@@ -1,13 +1,15 @@
-// Tests for the two baselines:
+// Tests for the baselines:
 //  * SyncLockstepParty (Vaidya-Garg style): correct under synchrony at
 //    (D+1) t < n, demonstrably broken under asynchrony;
-//  * AsyncMhParty (Mendes-Herlihy style, hybrid at ts = ta = t): correct in
-//    both network modes at the lower resilience (D+2) t < n.
+//  * the asynchronous-optimal protocol (Mendes-Herlihy style), which is
+//    hybrid ΠAA at ts = ta = t — the harness's Protocol::kAsyncMh: correct
+//    in both network modes at the lower resilience (D+2) t < n;
+//  * CoordinatewiseParty: D independent 1-D agreements, valid only in the
+//    bounding box.
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "baselines/async_mh.hpp"
 #include "baselines/coordinatewise.hpp"
 #include "baselines/sync_lockstep.hpp"
 #include "geometry/convex.hpp"
@@ -16,8 +18,6 @@
 namespace hydra::test {
 namespace {
 
-using baselines::AsyncMhConfig;
-using baselines::AsyncMhParty;
 using baselines::SyncLockstepConfig;
 using baselines::SyncLockstepParty;
 
@@ -29,6 +29,19 @@ std::vector<geo::Vec> ring_inputs(std::size_t n, double radius = 10.0) {
     inputs.push_back(geo::Vec{radius * std::cos(a), radius * std::sin(a)});
   }
   return inputs;
+}
+
+/// The asynchronous-optimal protocol at threshold t: ΠAA at ts = ta = t,
+/// whose feasibility (D+1) t + t < n is the asynchronous bound (D+2) t < n.
+Params async_params(std::size_t n, std::size_t t, std::size_t dim,
+                    double eps = 1e-3) {
+  Params p;
+  p.n = n;
+  p.ts = t;
+  p.ta = t;
+  p.dim = dim;
+  p.eps = eps;
+  return p;
 }
 
 std::uint64_t rounds_for(double eps, double diam) {
@@ -206,9 +219,12 @@ TEST(Coordinatewise, ViolatesValidityWhereHybridDoesNot) {
     sim::Simulation sim({.n = p.n, .delta = p.delta, .seed = seed},
                         std::make_unique<adversary::ReorderScheduler>(
                             p.delta, 0.35, 10 * p.delta));
+    serve::InstanceDirectory directory(static_cast<std::uint32_t>(p.dim),
+                                       static_cast<std::uint32_t>(p.n));
     std::vector<baselines::CoordinatewiseParty*> honest;
     for (PartyId id = 0; id < p.n; ++id) {
-      auto party = std::make_unique<baselines::CoordinatewiseParty>(p, inputs[id]);
+      auto party =
+          std::make_unique<baselines::CoordinatewiseParty>(p, inputs[id], directory);
       if (id != 0) honest.push_back(party.get());
       sim.add_party(std::move(party));
     }
@@ -239,28 +255,28 @@ TEST(Coordinatewise, ViolatesValidityWhereHybridDoesNot) {
 }
 
 TEST(AsyncMh, FeasibilityMatchesDPlus2Bound) {
-  EXPECT_TRUE(baselines::async_mh_feasible({.n = 9, .t = 2, .dim = 2}));
-  EXPECT_FALSE(baselines::async_mh_feasible({.n = 8, .t = 2, .dim = 2}));
-  EXPECT_TRUE(baselines::async_mh_feasible({.n = 6, .t = 1, .dim = 3}));
-  EXPECT_FALSE(baselines::async_mh_feasible({.n = 5, .t = 1, .dim = 3}));  // (D+2)t = n
-  EXPECT_FALSE(baselines::async_mh_feasible({.n = 4, .t = 1, .dim = 2}));
+  EXPECT_TRUE(async_params(9, 2, 2).feasible());
+  EXPECT_FALSE(async_params(8, 2, 2).feasible());
+  EXPECT_TRUE(async_params(6, 1, 3).feasible());
+  EXPECT_FALSE(async_params(5, 1, 3).feasible());  // (D+2)t = n
+  EXPECT_FALSE(async_params(4, 1, 2).feasible());
 }
 
 TEST(AsyncMh, ConvergesUnderAsynchronyAtItsBound) {
-  const AsyncMhConfig config{.n = 9, .t = 2, .dim = 2, .eps = 1e-2, .delta = 1000};
-  ASSERT_TRUE(baselines::async_mh_feasible(config));
+  const Params config = async_params(9, 2, 2, 1e-2);
+  ASSERT_TRUE(config.feasible());
   const auto inputs = ring_inputs(9);
 
   sim::Simulation sim(
       net::BackendConfig{.n = config.n, .delta = config.delta, .seed = 7},
       std::make_unique<adversary::ReorderScheduler>(config.delta, 0.3,
                                                     15 * config.delta));
-  std::vector<AsyncMhParty*> honest;
+  std::vector<protocols::AaParty*> honest;
   for (PartyId id = 0; id < config.n; ++id) {
     if (id < 2) {
       sim.add_party(std::make_unique<adversary::SilentParty>());  // t = 2 corrupt
     } else {
-      auto party = std::make_unique<AsyncMhParty>(config, inputs[id]);
+      auto party = std::make_unique<protocols::AaParty>(config, inputs[id]);
       honest.push_back(party.get());
       sim.add_party(std::move(party));
     }
@@ -290,7 +306,7 @@ TEST(AsyncMh, HybridDominatesAsyncBaselineUnderSynchrony) {
   hybrid.eps = 1e-2;
   hybrid.delta = 1000;
   ASSERT_TRUE(hybrid.feasible());
-  ASSERT_FALSE(baselines::async_mh_feasible({.n = 7, .t = 2, .dim = 2}));
+  ASSERT_FALSE(async_params(7, 2, 2).feasible());
 
   auto inputs = ring_inputs(7);
   AaRunConfig cfg{.params = hybrid, .inputs = inputs, .seed = 9};

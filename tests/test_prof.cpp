@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <map>
@@ -17,6 +18,7 @@
 
 #include "harness/perf.hpp"
 #include "harness/runner.hpp"
+#include "net/wire_stats.hpp"
 #include "obs/context.hpp"
 #include "obs/prof.hpp"
 
@@ -152,6 +154,33 @@ TEST(Prof, BucketOfLandsSamplesInLog2Buckets) {
   EXPECT_EQ(P::bucket_of(1023), 10u);
   EXPECT_EQ(P::bucket_of(1024), 11u);
   EXPECT_EQ(P::bucket_of(UINT64_MAX), obs::Profiler::kBuckets - 1);
+}
+
+// The profiler's buckets and the transport's sit one bucket apart; bucketed
+// through each layout's own bucket_of, the same samples must read the same
+// p50, p95 and max, each inside the range of the samples it stands for.
+TEST(Prof, Log2BucketPercentileReadsBothLayoutsAlike) {
+  const std::vector<std::uint64_t> samples{1, 1, 1, 1, 3, 3, 3, 3, 3, 3,
+                                           3, 3, 3, 3, 6, 6, 6, 6, 6, 12};
+  std::vector<std::uint64_t> prof(obs::Profiler::kBuckets, 0);
+  std::vector<std::uint64_t> transport(net::TransportHealth::kBuckets, 0);
+  for (const auto v : samples) {
+    ++prof[obs::Profiler::PhaseStats::bucket_of(v)];
+    ++transport[net::TransportHealth::bucket_of(v)];
+  }
+  EXPECT_EQ(prof[2], 10u);       // [2, 4)
+  EXPECT_EQ(transport[1], 10u);  // the same range, one bucket lower
+  for (const auto& [b, shift] :
+       {std::pair{&prof, obs::Profiler::kBucketShift},
+        std::pair{&transport, net::TransportHealth::kBucketShift}}) {
+    // Nearest rank over 20 samples: p50 = 10th (a 3), p95 = 19th (a 6),
+    // max = 20th (the 12); each read at its bucket's geometric midpoint.
+    EXPECT_DOUBLE_EQ(obs::log2_bucket_percentile(*b, 50.0, shift), std::exp2(1.5));
+    EXPECT_DOUBLE_EQ(obs::log2_bucket_percentile(*b, 95.0, shift), std::exp2(2.5));
+    EXPECT_DOUBLE_EQ(obs::log2_bucket_percentile(*b, 100.0, shift), std::exp2(3.5));
+  }
+  EXPECT_EQ(obs::log2_bucket_percentile(std::vector<std::uint64_t>(8, 0), 50.0, 0),
+            0.0);
 }
 
 TEST(Prof, SnapshotIsSortedByName) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "serve/engine.hpp"
@@ -188,6 +189,21 @@ TEST(Serve, ThreadsBackendDecidesEveryInstance) {
   EXPECT_TRUE(result.all_pass);
   EXPECT_FALSE(result.timed_out);
   EXPECT_EQ(result.unknown_dropped, 0u);
+}
+
+// The serving engine builds its backend through the harness: an unknown name
+// aborts with the same actionable message single runs give.
+TEST(ServeDeathTest, UnknownBackendNamesEveryRegisteredBackend) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  auto spec = base_spec(1);
+  spec.backend = "bogus";
+  std::string expected = "unknown ServeSpec::backend \"bogus\"; registered backends: ";
+  const auto names = harness::backend_names();
+  ASSERT_GE(names.size(), 4u);  // sim, threads, tcp, uds
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    expected += (i == 0 ? "" : ", ") + names[i];
+  }
+  EXPECT_DEATH((void)serve::run_serve(spec), expected);
 }
 
 TEST(Serve, LatencyPercentileNearestRank) {

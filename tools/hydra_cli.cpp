@@ -916,8 +916,8 @@ int cmd_report(int argc, char** argv) {
 /// Folds `from` into the accumulated per-phase rows: counts and times sum,
 /// min is the min of nonzero mins (0 = "no samples", not "instant"), max is
 /// the max of maxes, and the log2 latency buckets add element-wise (their
-/// bucket boundaries are position-fixed, so index i always means [2^i,
-/// 2^(i+1)) whatever length each file trimmed its trailing zeros to).
+/// boundaries are position-fixed by obs::Profiler's layout, so index i means
+/// the same range whatever length each file trimmed its trailing zeros to).
 void merge_phase_rows(std::map<std::string, harness::PhaseRow>& acc,
                       const std::vector<harness::PhaseRow>& from) {
   for (const auto& row : from) {
