@@ -13,9 +13,14 @@
 //      has no async guarantee at ta=0 < actual corruptions... so we show
 //      hybrid at (ts=2, ta=1) vs 1 corruption: guarantees hold.
 //   C. head-to-head grid over both networks at matched thresholds.
+//
+// Exits 1 unless Scenes A and C hold D-AA throughout with async-mh
+// infeasible in Scene A, and Scene B's sync-only baseline loses agreement or
+// validity while both hybrid rows hold.
 #include <cstdio>
 #include <vector>
 
+#include "claim.hpp"
 #include "harness/runner.hpp"
 #include "harness/table.hpp"
 
@@ -24,100 +29,101 @@ using namespace hydra::harness;
 
 namespace {
 
-void scene(const char* title, const std::vector<RunSpec>& specs,
-           const std::vector<std::string>& notes) {
-  std::printf("%s\n", title);
+/// One scene row: a protocol at a (D = 2) shape, its network and adversary.
+struct Row {
+  Protocol protocol;
+  claim::Shape shape;
+  Network network;
+  Adversary adversary;
+  std::size_t corruptions;
+  std::uint64_t seed;
+  const char* note;
+  bool breaks = false;  ///< predicted to lose agreement or validity
+};
+
+/// Runs one scene at eps = 0.05 and checks each row's prediction.
+void scene(char name, const std::vector<Row>& rows, claim::Claims& claims) {
+  std::printf("\n");
   Table table({"protocol", "n", "ts", "ta", "network", "adversary", "corrupt",
                "live", "valid", "agree", "out-diam", "note"});
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const auto& spec = specs[i];
-    const auto result = execute(spec);
-    table.row({to_string(spec.protocol), fmt(std::uint64_t{spec.params.n}),
-               fmt(std::uint64_t{spec.params.ts}), fmt(std::uint64_t{spec.params.ta}),
-               to_string(spec.network), to_string(spec.adversary),
-               fmt(std::uint64_t{spec.corruptions}), fmt_ok(result.verdict.live),
-               fmt_ok(result.verdict.valid), fmt_ok(result.verdict.agreed),
-               fmt(result.verdict.output_diameter), notes[i]});
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Row& r = rows[i];
+    auto spec = claim::spec(r.shape, 5e-2, Workload::kUniformBall, 10.0, r.network,
+                            r.adversary, r.corruptions, r.seed);
+    spec.protocol = r.protocol;
+    const auto v = execute(spec).verdict;
+    const std::string protocol = to_string(r.protocol);
+    table.row(claim::row({{protocol, fmt(std::uint64_t{r.shape.n}),
+                           fmt(std::uint64_t{r.shape.ts}), fmt(std::uint64_t{r.shape.ta}),
+                           to_string(r.network), to_string(r.adversary),
+                           fmt(std::uint64_t{r.corruptions})},
+                          claim::verdict_cells(v),
+                          {r.note}}));
+    claims.check(r.breaks ? !v.agreed || !v.valid : v.d_aa(), "T4 Scene %c row %zu: %s %s",
+                 name, i + 1, protocol.c_str(),
+                 r.breaks ? "kept agreement and validity" : "failed D-AA");
   }
   table.print();
   std::printf("\n");
 }
 
-RunSpec base_spec(Protocol protocol, std::size_t n, std::size_t ts, std::size_t ta,
-                  Network network, Adversary adversary, std::size_t corruptions,
-                  std::uint64_t seed) {
-  RunSpec spec;
-  spec.protocol = protocol;
-  spec.params.n = n;
-  spec.params.ts = ts;
-  spec.params.ta = ta;
-  spec.params.dim = 2;
-  spec.params.eps = 5e-2;
-  spec.params.delta = 1000;
-  spec.workload = Workload::kUniformBall;
-  spec.workload_scale = 10.0;
-  spec.network = network;
-  spec.adversary = adversary;
-  spec.corruptions = corruptions;
-  spec.seed = seed;
-  return spec;
-}
-
 }  // namespace
 
 int main() {
+  claim::Claims claims;
   std::printf("== T4: hybrid protocol vs the two classical baselines (D = 2) ==\n\n");
 
   std::printf("Scene A: synchronous network, t = 2 of n = 7 corrupted.\n");
   std::printf("  async-mh needs (D+2) t < n = 8 < 7: INFEASIBLE — cannot be "
               "instantiated (printed as the paper's '-' cell).\n");
-  scene("",
+  scene('A',
         {
-            base_spec(Protocol::kSyncLockstep, 7, 2, 0, Network::kSyncJitter,
-                      Adversary::kSilent, 2, 1),
-            base_spec(Protocol::kHybrid, 7, 2, 0, Network::kSyncJitter,
-                      Adversary::kSilent, 2, 2),
-            base_spec(Protocol::kHybrid, 7, 2, 0, Network::kSyncJitter,
-                      Adversary::kMixed, 2, 3),
+            {Protocol::kSyncLockstep, {2, 7, 2, 0}, Network::kSyncJitter,
+             Adversary::kSilent, 2, 1, "baseline OK at (D+1)t<n"},
+            {Protocol::kHybrid, {2, 7, 2, 0}, Network::kSyncJitter, Adversary::kSilent,
+             2, 2, "hybrid matches it"},
+            {Protocol::kHybrid, {2, 7, 2, 0}, Network::kSyncJitter, Adversary::kMixed, 2,
+             3, "hybrid, hostile mix"},
         },
-        {"baseline OK at (D+1)t<n", "hybrid matches it", "hybrid, hostile mix"});
+        claims);
   // async-mh is ΠAA at ts = ta = t, feasible iff (D+1) t + t = (D+2) t < n.
   const protocols::Params async_mh{.n = 7, .ts = 2, .ta = 2, .dim = 2};
+  claims.check(!async_mh.feasible(), "T4 Scene A: async-mh is feasible at (7, 2, 2, 2)");
   std::printf("  async-mh at (n=7, t=2, D=2): feasible = %s (needs n > 8)\n\n",
               async_mh.feasible() ? "yes" : "NO");
 
   std::printf("Scene B: asynchronous network, n = 8 (so (D+1) ts + ta = 7 < 8 "
               "keeps the hybrid protocol feasible at ts = 2, ta = 1).\n");
-  scene("",
+  scene('B',
         {
-            base_spec(Protocol::kSyncLockstep, 8, 2, 0, Network::kAsyncExponential,
-                      Adversary::kOutlier, 1, 4),
-            base_spec(Protocol::kHybrid, 8, 2, 1, Network::kAsyncExponential,
-                      Adversary::kOutlier, 1, 5),
-            base_spec(Protocol::kHybrid, 8, 2, 1, Network::kAsyncReorder,
-                      Adversary::kMixed, 1, 6),
+            {Protocol::kSyncLockstep, {2, 8, 2, 0}, Network::kAsyncExponential,
+             Adversary::kOutlier, 1, 4, "sync baseline BREAKS", /*breaks=*/true},
+            {Protocol::kHybrid, {2, 8, 2, 1}, Network::kAsyncExponential,
+             Adversary::kOutlier, 1, 5, "hybrid ta=1 holds"},
+            {Protocol::kHybrid, {2, 8, 2, 1}, Network::kAsyncReorder, Adversary::kMixed,
+             1, 6, "hybrid, hostile mix"},
         },
-        {"sync baseline BREAKS", "hybrid ta=1 holds", "hybrid, hostile mix"});
+        claims);
 
   std::printf("Scene C: matched-threshold grid (t = ts = ta = 1, n = 5).\n");
   std::printf("  At ts = ta the hybrid protocol IS the asynchronous-optimal "
               "protocol ((D+2)t < n); both succeed everywhere.\n");
-  scene("",
+  scene('C',
         {
-            base_spec(Protocol::kAsyncMh, 5, 1, 1, Network::kSyncJitter,
-                      Adversary::kSilent, 1, 7),
-            base_spec(Protocol::kHybrid, 5, 1, 1, Network::kSyncJitter,
-                      Adversary::kSilent, 1, 8),
-            base_spec(Protocol::kAsyncMh, 5, 1, 1, Network::kAsyncReorder,
-                      Adversary::kSilent, 1, 9),
-            base_spec(Protocol::kHybrid, 5, 1, 1, Network::kAsyncReorder,
-                      Adversary::kSilent, 1, 10),
+            {Protocol::kAsyncMh, {2, 5, 1, 1}, Network::kSyncJitter, Adversary::kSilent,
+             1, 7, ""},
+            {Protocol::kHybrid, {2, 5, 1, 1}, Network::kSyncJitter, Adversary::kSilent,
+             1, 8, ""},
+            {Protocol::kAsyncMh, {2, 5, 1, 1}, Network::kAsyncReorder,
+             Adversary::kSilent, 1, 9, ""},
+            {Protocol::kHybrid, {2, 5, 1, 1}, Network::kAsyncReorder, Adversary::kSilent,
+             1, 10, ""},
         },
-        {"", "", "", ""});
+        claims);
 
   std::printf("Paper prediction: hybrid dominates — it keeps the synchronous "
               "resilience of [32] (Scene A), survives asynchrony like [26] "
               "(Scene B/C), and the sync-only baseline breaks under "
               "asynchrony (Scene B row 1).\n");
-  return 0;
+  return claims.exit_code();
 }

@@ -12,102 +12,47 @@
 // exchange shares so much information that honest views (and hence values)
 // typically collapse within one or two iterations — far faster than the
 // worst-case bound, which is the practical takeaway.
+//
+// Exits 1 unless every T2a worst ratio is <= sqrt(7/8) and every T2b run
+// agrees.
 #include <cmath>
 #include <cstdio>
-#include <set>
 #include <vector>
 
+#include "claim.hpp"
 #include "common/rng.hpp"
 #include "harness/runner.hpp"
+#include "harness/stats.hpp"
 #include "harness/sweep.hpp"
 #include "harness/table.hpp"
-#include "protocols/aa_iteration.hpp"
-#include "protocols/codec.hpp"
 
 using namespace hydra;
 using namespace hydra::harness;
-using protocols::PairList;
 
 namespace {
 
-struct LemmaCase {
-  std::size_t dim, n, ts, ta;
-};
-
-/// Adversarial Byzantine value generators.
-geo::Vec byz_value(Rng& rng, std::size_t dim, double scale, int strategy,
-                   const std::vector<geo::Vec>& honest) {
-  switch (strategy % 3) {
-    case 0: {  // far outlier
-      geo::Vec v(dim, 0.0);
-      for (std::size_t d = 0; d < dim; ++d) {
-        v[d] = (rng.next_below(2) != 0u ? 1.0 : -1.0) * scale * 1e4;
-      }
-      return v;
-    }
+/// One adversarial Byzantine value, its strategy drawn at random.
+geo::Vec byz_value(Rng& rng, std::size_t dim, const std::vector<geo::Vec>& honest) {
+  switch (rng.next_below(3)) {
+    case 0:  // far outlier
+      return claim::random_corner(rng, dim, claim::kViewScale * 1e4);
     case 1:  // near-duplicate of an honest value (degeneracy attack)
       return honest[rng.next_below(honest.size())];
     default: {  // hull stretcher: just outside the honest spread
       geo::Vec v = honest[rng.next_below(honest.size())];
-      for (std::size_t d = 0; d < dim; ++d) v[d] += rng.next_double(-2.0, 2.0) * scale;
+      for (std::size_t d = 0; d < dim; ++d) {
+        v[d] += rng.next_double(-2.0, 2.0) * claim::kViewScale;
+      }
       return v;
     }
   }
-}
-
-/// One adversarial view pair; returns the contraction ratio achieved.
-double view_pair_ratio(Rng& rng, const LemmaCase& c, bool synchronous) {
-  const double scale = 10.0;
-  const std::size_t corruptions = synchronous ? c.ts : c.ta;
-
-  // Party values: ids [corruptions, n) honest, [0, corruptions) Byzantine.
-  std::vector<geo::Vec> honest;
-  for (std::size_t i = corruptions; i < c.n; ++i) {
-    geo::Vec v(c.dim, 0.0);
-    for (std::size_t d = 0; d < c.dim; ++d) v[d] = rng.next_double(-scale, scale);
-    honest.push_back(std::move(v));
-  }
-  std::vector<geo::Vec> values(c.n, geo::Vec(c.dim, 0.0));
-  for (std::size_t i = 0; i < corruptions; ++i) {
-    values[i] = byz_value(rng, c.dim, scale, static_cast<int>(rng.next_below(3)), honest);
-  }
-  for (std::size_t i = corruptions; i < c.n; ++i) values[i] = honest[i - corruptions];
-
-  // Legal views. Under synchrony a view contains every honest pair plus an
-  // arbitrary subset of Byzantine pairs; under asynchrony a view is any
-  // >= n - ts pairs as long as the two views share >= n - ts pairs. We give
-  // both views all honest pairs (the async overlap is then automatic) and
-  // let the adversary choose Byzantine inclusion per view independently.
-  const auto make_view = [&](std::uint64_t include_mask) {
-    PairList m;
-    for (std::size_t i = 0; i < c.n; ++i) {
-      const bool byz = i < corruptions;
-      if (!byz || ((include_mask >> i) & 1u) != 0) {
-        m.emplace_back(static_cast<PartyId>(i), values[i]);
-      }
-    }
-    return m;
-  };
-
-  protocols::Params p;
-  p.n = c.n;
-  p.ts = c.ts;
-  p.ta = c.ta;
-  p.dim = c.dim;
-  const auto m1 = make_view(rng.next_u64());
-  const auto m2 = make_view(rng.next_u64());
-  const geo::Vec v1 = protocols::compute_new_value(p, m1);
-  const geo::Vec v2 = protocols::compute_new_value(p, m2);
-
-  const double honest_diam = geo::diameter(honest);
-  if (honest_diam < 1e-12) return 0.0;
-  return geo::distance(v1, v2) / honest_diam;
 }
 
 }  // namespace
 
 int main() {
   const double bound = std::sqrt(7.0 / 8.0);
+  claim::Claims claims;
   std::printf("== T2a: Lemma 5.15 over adversarial ΠoBC-legal view pairs ==\n");
   std::printf("theory: delta(v, v') <= sqrt(7/8) * delta_max(honest) = %.6f * "
               "diam\n\n",
@@ -115,7 +60,7 @@ int main() {
 
   Table table({"D", "n", "ts", "ta", "regime", "trials", "worst ratio", "mean ratio",
                "<= bound?"});
-  const std::vector<LemmaCase> cases{
+  const std::vector<claim::Shape> cases{
       {1, 4, 1, 0}, {1, 5, 1, 1}, {1, 7, 2, 1}, {2, 4, 1, 0}, {2, 5, 1, 1},
       {2, 8, 2, 1}, {2, 9, 2, 2}, {3, 5, 1, 0}, {3, 6, 1, 1},
   };
@@ -126,19 +71,23 @@ int main() {
       if (!synchronous && c.ta == 0) continue;
       Rng rng(1000 * c.n + 10 * c.ts + c.ta + (synchronous ? 0 : 7));
       const int trials = c.dim >= 3 ? 60 : 300;
-      double worst = 0.0;
-      double sum = 0.0;
+      const auto byzantine = [&](const std::vector<geo::Vec>& honest) {
+        return byz_value(rng, c.dim, honest);
+      };
+      // A degenerate pair (coinciding honest values) counts as ratio 0.
+      Stats ratios;
       for (int trial = 0; trial < trials; ++trial) {
-        const double ratio = view_pair_ratio(rng, c, synchronous);
-        worst = std::max(worst, ratio);
-        sum += ratio;
+        ratios.add(claim::view_pair_ratio(rng, c.params(), synchronous ? c.ts : c.ta,
+                                          byzantine)
+                       .value_or(0.0));
       }
-      const bool ok = worst <= bound + 1e-6;
+      const bool ok = claims.check(
+          ratios.max() <= bound + 1e-6, "T2a D=%zu n=%zu ts=%zu ta=%zu %s: worst ratio %g",
+          c.dim, c.n, c.ts, c.ta, synchronous ? "sync" : "async", ratios.max());
       all_ok = all_ok && ok;
-      table.row({fmt(std::uint64_t{c.dim}), fmt(std::uint64_t{c.n}),
-                 fmt(std::uint64_t{c.ts}), fmt(std::uint64_t{c.ta}),
-                 synchronous ? "sync" : "async", fmt(std::uint64_t(trials)),
-                 fmt(worst), fmt(sum / trials), fmt_ok(ok)});
+      table.row(claim::row({c.cells(),
+                            {synchronous ? "sync" : "async", fmt(std::uint64_t(trials)),
+                             fmt(ratios.max()), fmt(ratios.mean()), fmt_ok(ok)}}));
     }
   }
   table.print();
@@ -150,53 +99,41 @@ int main() {
   Table table_b({"D", "n", "ts", "ta", "network", "adversary", "T_est",
                  "iters-to-collapse", "agree"});
   struct RunCase {
-    std::size_t dim, n, ts, ta;
+    claim::Shape shape;
     Network network;
     Adversary adversary;
     std::size_t corruptions;
   };
   const std::vector<RunCase> runs{
-      {2, 8, 2, 1, Network::kAsyncExponential, Adversary::kOutlier, 2},
-      {2, 8, 2, 1, Network::kAsyncReorder, Adversary::kOutlier, 1},
-      {2, 5, 1, 1, Network::kAsyncExponential, Adversary::kNone, 0},
-      {3, 6, 1, 1, Network::kAsyncExponential, Adversary::kOutlier, 1},
+      {{2, 8, 2, 1}, Network::kAsyncExponential, Adversary::kOutlier, 2},
+      {{2, 8, 2, 1}, Network::kAsyncReorder, Adversary::kOutlier, 1},
+      {{2, 5, 1, 1}, Network::kAsyncExponential, Adversary::kNone, 0},
+      {{3, 6, 1, 1}, Network::kAsyncExponential, Adversary::kOutlier, 1},
   };
   // Full protocol runs are independent, so execute them on the parallel
   // engine; results come back in input order.
   std::vector<RunSpec> grid;
-  grid.reserve(runs.size());
   for (const auto& rc : runs) {
-    RunSpec spec;
-    spec.params.n = rc.n;
-    spec.params.ts = rc.ts;
-    spec.params.ta = rc.ta;
-    spec.params.dim = rc.dim;
-    spec.params.eps = 1e-2;
-    spec.params.delta = 1000;
-    spec.workload = Workload::kGaussian;
-    spec.workload_scale = 20.0;
-    spec.network = rc.network;
-    spec.adversary = rc.adversary;
-    spec.corruptions = rc.corruptions;
-    spec.seed = 11 * rc.n + rc.corruptions;
-    grid.push_back(std::move(spec));
+    grid.push_back(claim::spec(rc.shape, 1e-2, Workload::kGaussian, 20.0, rc.network,
+                               rc.adversary, rc.corruptions,
+                               11 * rc.shape.n + rc.corruptions));
   }
   const auto results = run_sweep(grid);
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const auto& rc = runs[i];
     const auto& result = results[i];
     std::size_t collapse = result.iteration_diameters.size();
-    for (std::size_t i = 0; i < result.iteration_diameters.size(); ++i) {
-      if (result.iteration_diameters[i] <= 1e-12) {
-        collapse = i;
+    for (std::size_t it = 0; it < result.iteration_diameters.size(); ++it) {
+      if (result.iteration_diameters[it] <= 1e-12) {
+        collapse = it;
         break;
       }
     }
-    table_b.row({fmt(std::uint64_t{rc.dim}), fmt(std::uint64_t{rc.n}),
-                 fmt(std::uint64_t{rc.ts}), fmt(std::uint64_t{rc.ta}),
-                 to_string(rc.network), to_string(rc.adversary),
-                 fmt(result.min_estimate), fmt(std::uint64_t(collapse)),
-                 fmt_ok(result.verdict.agreed)});
+    claims.check(result.verdict.agreed, "T2b row %zu: honest outputs disagree", i + 1);
+    table_b.row(claim::row({rc.shape.cells(),
+                            {to_string(rc.network), to_string(rc.adversary),
+                             fmt(result.min_estimate), fmt(std::uint64_t(collapse)),
+                             fmt_ok(result.verdict.agreed)}}));
   }
   table_b.print();
 
@@ -204,5 +141,5 @@ int main() {
               "Measured: %s. T2b shows practice beats the bound by orders of "
               "magnitude.\n",
               bound, all_ok ? "all within the bound" : "VIOLATION (see table)");
-  return all_ok ? 0 : 1;
+  return claims.exit_code();
 }

@@ -10,13 +10,15 @@
 // This binary recomputes that geometry with the exact 2-D kernel (and the
 // general-D LP kernel for D = 3), printing the per-scenario hulls, the
 // forced outputs, and the forced disagreement. It also reproduces the
-// asynchronous variant (Theorem 3.2): D+2 blocks, one silent.
+// asynchronous variant (Theorem 3.2): D+2 blocks, one silent. Exits 1
+// unless every forced set is {e_d} and the forced diameter is eps * sqrt(2).
 #include <cmath>
 #include <cstdio>
 #include <vector>
 
 #include "geometry/convex.hpp"
 #include "geometry/polygon.hpp"
+#include "claim.hpp"
 #include "geometry/vec.hpp"
 #include "harness/table.hpp"
 
@@ -64,7 +66,7 @@ std::vector<std::size_t> forced_output_blocks(const std::vector<geo::Vec>& e,
   return inside;
 }
 
-void run_dimension(std::size_t dim, double eps) {
+void run_dimension(std::size_t dim, double eps, claim::Claims& claims) {
   const auto e = block_inputs(dim, eps);
   std::printf("D = %zu, ts = 1, n = (D+1) ts = %zu, eps = %g\n", dim, dim + 1, eps);
   std::printf("block inputs: ");
@@ -78,7 +80,9 @@ void run_dimension(std::size_t dim, double eps) {
     const auto inside = forced_output_blocks(e, d);
     std::string set;
     for (auto j : inside) set += "e_" + std::to_string(j) + " ";
-    const bool singleton = inside.size() == 1 && inside[0] == d;
+    const bool singleton = claims.check(inside.size() == 1 && inside[0] == d,
+                                        "F1 D=%zu: block %zu is not forced to {e_%zu}",
+                                        dim, d, d);
     if (singleton) forced.push_back(e[d]);
     table.row({"d = " + std::to_string(d), set.empty() ? "(empty)" : set,
                harness::fmt_ok(singleton)});
@@ -86,6 +90,8 @@ void run_dimension(std::size_t dim, double eps) {
   table.print();
 
   const double diam = geo::diameter(forced);
+  claims.check(std::abs(diam - eps * std::sqrt(2.0)) <= 1e-9,
+               "F1 D=%zu: forced diameter %g is not eps * sqrt(2)", dim, diam);
   std::printf("forced output diameter = %.6g  (eps * sqrt(2) = %.6g)  -> "
               "%s eps-agreement at n = (D+1) ts\n\n",
               diam, eps * std::sqrt(2.0),
@@ -95,9 +101,10 @@ void run_dimension(std::size_t dim, double eps) {
 }  // namespace
 
 int main() {
+  claim::Claims claims;
   std::printf("== F1: Figure 1 / Theorem 3.1 — synchronous lower bound "
               "n > (D+1) ts is necessary ==\n\n");
-  for (std::size_t dim = 2; dim <= 4; ++dim) run_dimension(dim, 1.0);
+  for (std::size_t dim = 2; dim <= 4; ++dim) run_dimension(dim, 1.0, claims);
 
   std::printf("== Theorem 3.2 — asynchronous lower bound n > (D+2) ta ==\n\n");
   // D+2 blocks: blocks 0..D hold e_0..e_D, block D+1 is silent; honest
@@ -118,5 +125,5 @@ int main() {
   std::printf("Paper prediction: both resilience bounds are tight; the "
               "protocol's (D+1) ts + ta < n matches them at ta = 0 and "
               "ts = ta.\n");
-  return 0;
+  return claims.exit_code();
 }

@@ -7,11 +7,14 @@
 // the exact 2-D kernel, prints each partial intersection, and verifies the
 // containment claim for all four corruption choices. It then reruns the
 // computation across dimensions and trim values to chart when safe areas
-// are full-dimensional, degenerate, or empty (the Section 5 example).
+// are full-dimensional, degenerate, or empty (the Section 5 example). Exits
+// 1 unless the collapse ends in one point inside every honest triple, the
+// Section 5 triangle's safe_1 is empty, and every chart row the Helly bound
+// calls non-empty reads 20/20.
 #include <cstdio>
 #include <vector>
 
-#include "common/combinatorics.hpp"
+#include "claim.hpp"
 #include "common/rng.hpp"
 #include "geometry/convex.hpp"
 #include "geometry/polygon.hpp"
@@ -30,7 +33,7 @@ std::string vertices_of(const geo::ConvexPolygon2D& poly) {
   return out;
 }
 
-void figure2_walkthrough() {
+void figure2_walkthrough(claim::Claims& claims) {
   // A quadrilateral in convex position, like the figure's a, b, c, d.
   const std::vector<geo::Vec> pts{{0.0, 0.0}, {4.0, 0.0}, {3.0, 3.0}, {0.5, 2.5}};
   const char* names[] = {"a", "b", "c", "d"};
@@ -62,6 +65,10 @@ void figure2_walkthrough() {
                 vertices_of(region).c_str());
   }
 
+  claims.check(region.vertices().size() == 1,
+               "F2: the four-hull collapse ends in %zu points, not one",
+               region.vertices().size());
+
   const auto sa = geo::SafeArea::compute(pts, 1);
   const auto mid = sa.midpoint_rule();
   std::printf("\nsafe_1 = %s  diameter = %.3g  -> single point v, as in the "
@@ -74,21 +81,24 @@ void figure2_walkthrough() {
     for (std::size_t j = 0; j < 4; ++j) {
       if (j != byz) honest.push_back(pts[j]);
     }
-    table.row({names[byz], harness::fmt_ok(mid && geo::in_convex_hull(honest, *mid,
-                                                                      1e-7))});
+    const bool inside = claims.check(mid && geo::in_convex_hull(honest, *mid, 1e-7),
+                                     "F2: v leaves the honest hull when %s is corrupted",
+                                     names[byz]);
+    table.row({names[byz], harness::fmt_ok(inside)});
   }
   table.print();
 }
 
-void emptiness_chart() {
+void emptiness_chart(claim::Claims& claims) {
   std::printf("\n== When is safe_t(M) non-empty? (Lemma 5.5 boundary) ==\n");
   std::printf("The Section 5 example: safe_1({(0,0),(0,1),(1,0)}) with |M| = "
               "n - ts = 3 is EMPTY,\nwhich is why the protocol trims "
               "max(k, ta) instead of ts.\n\n");
 
   const std::vector<geo::Vec> tri{{0.0, 0.0}, {0.0, 1.0}, {1.0, 0.0}};
-  std::printf("safe_1({(0,0),(0,1),(1,0)}) empty: %s\n",
-              harness::fmt_ok(geo::SafeArea::compute(tri, 1).empty()).c_str());
+  const bool empty = claims.check(geo::SafeArea::compute(tri, 1).empty(),
+                                  "F2: safe_1 of the Section 5 triangle is not empty");
+  std::printf("safe_1({(0,0),(0,1),(1,0)}) empty: %s\n", harness::fmt_ok(empty).c_str());
   std::printf("safe_0 of the same M (k = 0, ta = 0 trim): diameter %.4g "
               "(= the full hull)\n\n",
               geo::SafeArea::compute(tri, 0).diameter());
@@ -104,14 +114,13 @@ void emptiness_chart() {
         int nonempty = 0;
         for (int trial = 0; trial < 20; ++trial) {
           std::vector<geo::Vec> pts;
-          for (std::size_t i = 0; i < m; ++i) {
-            geo::Vec v(dim, 0.0);
-            for (std::size_t d = 0; d < dim; ++d) v[d] = rng.next_double(-1.0, 1.0);
-            pts.push_back(std::move(v));
-          }
+          for (std::size_t i = 0; i < m; ++i) pts.push_back(claim::random_point(rng, dim, 1.0));
           if (!geo::SafeArea::compute(pts, t).empty()) ++nonempty;
         }
         const bool helly = m >= (dim + 1) * t + 1;
+        claims.check(!helly || nonempty == 20,
+                     "F2 D=%zu m=%zu t=%zu: Helly says non-empty, measured %d/20", dim,
+                     m, t, nonempty);
         table.row({harness::fmt(std::uint64_t{dim}), harness::fmt(std::uint64_t{m}),
                    harness::fmt(std::uint64_t{t}),
                    helly ? "non-empty" : "may be empty",
@@ -125,8 +134,9 @@ void emptiness_chart() {
 }  // namespace
 
 int main() {
+  claim::Claims claims;
   std::printf("== F2: Figure 2 — safe area of four points, t = 1 ==\n\n");
-  figure2_walkthrough();
-  emptiness_chart();
-  return 0;
+  figure2_walkthrough(claims);
+  emptiness_chart(claims);
+  return claims.exit_code();
 }

@@ -1,4 +1,4 @@
-// T10 — Approximate agreement beyond R^D: trees and paths.
+// T11 — Approximate agreement beyond R^D: trees and paths.
 //
 // The hybrid protocol's shape (exchange values, intersect hulls over
 // |M| - t subsets, adopt a midpoint) is not Euclidean-specific. With the
@@ -21,16 +21,15 @@
 // witness exchange collapses honest estimates far faster — the same
 // practice-beats-the-bound effect bench_convergence documents for R^D.
 //
-// `--json PATH` writes the headline numbers in the shared hydra-bench-v1
-// schema. Exit status: 0 only if every run satisfied D-AA, no monitor
-// recorded a violation, and every contraction step met the ceil bound.
+// Exit status: 0 only if every run satisfied D-AA, no monitor recorded a
+// violation, and every contraction step met the ceil bound.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "bench_json.hpp"
+#include "claim.hpp"
 #include "harness/runner.hpp"
 #include "harness/stats.hpp"
 #include "harness/sweep.hpp"
@@ -50,26 +49,21 @@ struct CellOutcome {
   bool contraction_ok = true;
   double worst_ratio = 0.0;  ///< max observed d' / ceil(d/2)
   Stats rounds;
-  Stats messages;
 };
 
-RunSpec make_spec(const std::string& domain, Network network,
-                  Adversary adversary, std::uint64_t seed, double scale) {
-  RunSpec spec;
-  spec.domain = domain;
-  spec.params.n = 5;
-  spec.params.ts = 1;
-  spec.params.ta = 1;
-  spec.params.dim = 1;
-  spec.params.eps = 1.0;  // 1-agreement: adjacent vertices
-  spec.params.delta = 1000;
-  spec.workload_scale = scale;
-  spec.network = network;
-  spec.adversary = adversary;
-  spec.corruptions = adversary == Adversary::kNone ? 0 : 1;
-  spec.seed = seed;
-  spec.monitors = obs::MonitorMode::kStrict;
-  return spec;
+/// Seeds 1..seeds of one cell: n = 5, ts = ta = 1, 1-agreement (adjacent
+/// vertices), one corrupted slot unless the adversary is none, strict
+/// monitors.
+std::vector<RunSpec> seeds_of(const std::string& domain, Network network,
+                              Adversary adversary, double scale, std::uint64_t seeds) {
+  std::vector<RunSpec> grid;
+  for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+    grid.push_back(claim::spec({1, 5, 1, 1}, 1.0, Workload::kUniformBall, scale, network,
+                               adversary, adversary == Adversary::kNone ? 0 : 1, seed));
+    grid.back().domain = domain;
+    grid.back().monitors = obs::MonitorMode::kStrict;
+  }
+  return grid;
 }
 
 CellOutcome judge(const std::vector<RunResult>& results) {
@@ -79,7 +73,6 @@ CellOutcome judge(const std::vector<RunResult>& results) {
     if (result.verdict.d_aa()) ++out.passed;
     out.violations += result.monitor_violations;
     out.rounds.add(result.rounds);
-    out.messages.add(static_cast<double>(result.messages));
     // The exact integer contraction bound of the tree midpoint rule,
     // checked over the honest complete-layer diameters the harness
     // recorded. (The strict monitors enforce the same bound live; this
@@ -99,14 +92,9 @@ CellOutcome judge(const std::vector<RunResult>& results) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const std::string json_path = hydra::bench::consume_json_path(argc, argv);
-  if (argc != 1) {
-    std::fprintf(stderr, "usage: bench_graph_aa [--json PATH]\n");
-    return 2;
-  }
-
-  std::printf("== T10a: graph AA contraction under adversarial pressure ==\n");
+int main() {
+  claim::Claims claims;
+  std::printf("== T11a: graph AA contraction under adversarial pressure ==\n");
   std::printf("tree = 63-vertex complete binary tree, path = 64-vertex line; "
               "strict monitors, bound d' <= ceil(d/2) per iteration "
               "(arXiv:2502.05591)\n\n");
@@ -120,25 +108,20 @@ int main(int argc, char** argv) {
 
   bool all_pass = true;
   std::uint64_t total_violations = 0;
-  Stats tree_rounds;
-  Stats path_rounds;
   Table table({"domain", "network", "adversary", "runs", "pass", "violations",
                "worst d'/ceil(d/2)", "mean rounds", "ok"});
   for (const std::string domain : {"tree", "path"}) {
     for (const Network network : networks) {
       for (const Adversary adversary : adversaries) {
-        std::vector<RunSpec> grid;
-        grid.reserve(kSeedsPerCell);
-        for (std::uint64_t seed = 1; seed <= kSeedsPerCell; ++seed) {
-          grid.push_back(make_spec(domain, network, adversary, seed, 10.0));
-        }
-        const auto outcome = judge(run_sweep(grid));
-        const bool ok = outcome.passed == outcome.runs &&
-                        outcome.violations == 0 && outcome.contraction_ok;
+        const auto outcome =
+            judge(run_sweep(seeds_of(domain, network, adversary, 10.0, kSeedsPerCell)));
+        const bool ok = claims.check(
+            outcome.passed == outcome.runs && outcome.violations == 0 &&
+                outcome.contraction_ok,
+            "T11a %s %s %s: a D-AA miss, a monitor violation or d' > ceil(d/2)",
+            domain.c_str(), to_string(network).c_str(), to_string(adversary).c_str());
         all_pass = all_pass && ok;
         total_violations += outcome.violations;
-        (domain == "tree" ? tree_rounds : path_rounds)
-            .add(outcome.rounds.mean());
         table.row({domain, to_string(network), to_string(adversary),
                    fmt(std::uint64_t{outcome.runs}),
                    fmt(std::uint64_t{outcome.passed}),
@@ -149,34 +132,32 @@ int main(int argc, char** argv) {
   }
   table.print();
 
-  std::printf("\n== T10b: convergence depth on the 64-vertex path ==\n");
+  std::printf("\n== T11b: convergence depth on the 64-vertex path ==\n");
   std::printf("(worst case: ceil(log2(spread)) halving iterations; the Πinit "
               "witness exchange usually collapses estimates much sooner)\n\n");
   Table depth({"scale", "mean input diameter", "T estimate", "max output it",
                "mean rounds", "all 1-agree"});
-  Stats depth_iters;
   for (const double scale : {4.0, 16.0, 60.0}) {
-    std::vector<RunSpec> grid;
-    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-      grid.push_back(
-          make_spec("path", Network::kSyncJitter, Adversary::kNone, seed, scale));
-    }
-    const auto results = run_sweep(grid);
+    const auto results =
+        run_sweep(seeds_of("path", Network::kSyncJitter, Adversary::kNone, scale, 10));
     Stats diam;
     Stats est;
     std::uint32_t max_it = 0;
     Stats rounds;
     bool agree = true;
+    std::uint64_t violations = 0;
     for (const auto& result : results) {
       diam.add(result.input_diameter);
       est.add(static_cast<double>(result.min_estimate));
       max_it = std::max(max_it, result.max_output_iteration);
       rounds.add(result.rounds);
       agree = agree && result.verdict.d_aa();
-      all_pass = all_pass && result.verdict.d_aa();
-      total_violations += result.monitor_violations;
+      violations += result.monitor_violations;
     }
-    depth_iters.add(static_cast<double>(max_it));
+    claims.check(agree && violations == 0,
+                 "T11b scale %g: a D-AA miss or a monitor violation", scale);
+    all_pass = all_pass && agree;
+    total_violations += violations;
     depth.row({fmt(scale), fmt(diam.mean()), fmt(est.mean()),
                fmt(std::uint64_t{max_it}), fmt(rounds.mean()), fmt_ok(agree)});
   }
@@ -189,19 +170,5 @@ int main(int argc, char** argv) {
               "violation(s).\n",
               all_pass ? "all runs passed" : "FAILURES (see tables)",
               static_cast<unsigned long long>(total_violations));
-
-  if (!json_path.empty()) {
-    const std::vector<BenchMetric> metrics = {
-        {"graph_aa.tree.mean_rounds", "Delta", tree_rounds.mean(),
-         static_cast<std::uint64_t>(tree_rounds.count())},
-        {"graph_aa.path.mean_rounds", "Delta", path_rounds.mean(),
-         static_cast<std::uint64_t>(path_rounds.count())},
-        {"graph_aa.path.mean_depth_iters", "iterations", depth_iters.mean(),
-         static_cast<std::uint64_t>(depth_iters.count())},
-    };
-    if (!harness::write_bench_json(json_path, "bench_graph_aa", metrics)) {
-      return 1;
-    }
-  }
-  return all_pass && total_violations == 0 ? 0 : 1;
+  return claims.exit_code();
 }

@@ -1,10 +1,10 @@
 // Unified bench JSON emission for the bench/ binaries.
 //
-// The benches that CI keeps as artifacts (bench_graph_aa, bench_obs_overhead)
-// accept `--json PATH` (or `--json=PATH`) and write their measurements in the
-// shared hydra-bench-v1 schema (src/harness/perf.hpp), which `hydra perf
-// --input J --baseline B` reads. consume_json_path() strips the flag from
-// argv, so a bench can reject any argument left over.
+// The bench that CI keeps as an artifact (bench_obs_overhead) accepts
+// `--json PATH` (or `--json=PATH`) and writes its measurements in the shared
+// hydra-bench-v1 schema (src/harness/perf.hpp), which `hydra perf --input J
+// --baseline B` reads. consume_json_path() strips the flag from argv, so a
+// bench can reject any argument left over.
 #pragma once
 
 #include <cstring>

@@ -7,12 +7,16 @@
 // adversary mix, and reports the oracle verdicts. It then runs "overload"
 // rows — one corruption beyond the threshold — where the guarantees are
 // allowed (and expected) to fail, demonstrating the bound is tight in
-// practice, matching the Theorem 3.1/3.2 lower bounds.
+// practice, matching the Theorem 3.1/3.2 lower bounds. Exits 1 unless every
+// T1a row holds D-AA and every (D, sync/async) group of T1b shows a
+// violation.
 #include <cstdio>
-#include <cstdlib>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "claim.hpp"
 #include "harness/runner.hpp"
 #include "harness/sweep.hpp"
 #include "harness/table.hpp"
@@ -22,24 +26,14 @@ using namespace hydra::harness;
 
 namespace {
 
-struct Row {
-  std::size_t dim, n, ts, ta;
-};
-
-void run_block(const std::vector<Row>& rows, bool overload, std::size_t jobs) {
+void run_block(const std::vector<claim::Shape>& rows, bool overload,
+               claim::Claims& claims) {
   // Build the whole grid first, then execute it on the parallel engine; the
   // table prints in input order regardless of completion order.
   std::vector<RunSpec> grid;
-  std::vector<Row> grid_rows;
+  std::vector<claim::Shape> grid_rows;
   for (const auto& r : rows) {
-    protocols::Params p;
-    p.n = r.n;
-    p.ts = r.ts;
-    p.ta = r.ta;
-    p.dim = r.dim;
-    p.eps = 5e-2;
-    p.delta = 1000;
-    if (!p.feasible()) continue;
+    if (!r.params().feasible()) continue;
 
     struct Cell {
       Network network;
@@ -56,53 +50,46 @@ void run_block(const std::vector<Row>& rows, bool overload, std::size_t jobs) {
     };
     for (const auto& cell : cells) {
       if (cell.corruptions >= r.n) continue;
-      RunSpec spec;
-      spec.params = p;
-      spec.workload = Workload::kUniformBall;
-      spec.workload_scale = 10.0;
-      spec.network = cell.network;
-      spec.adversary = cell.corruptions == 0 ? Adversary::kNone : cell.adversary;
-      spec.corruptions = cell.corruptions;
-      spec.seed = 7 * r.n + 13 * r.ts + r.ta + (overload ? 1000 : 0);
-      grid.push_back(std::move(spec));
+      grid.push_back(claim::spec(
+          r, 5e-2, Workload::kUniformBall, 10.0, cell.network,
+          cell.corruptions == 0 ? Adversary::kNone : cell.adversary, cell.corruptions,
+          7 * r.n + 13 * r.ts + r.ta + (overload ? 1000 : 0)));
       grid_rows.push_back(r);
     }
   }
 
-  const auto results = run_sweep(grid, jobs);
+  const auto results = run_sweep(grid);
 
   Table table({"D", "n", "ts", "ta", "network", "adversary", "corrupt", "live",
                "valid", "agree", "out-diam"});
+  std::map<std::pair<std::size_t, bool>, bool> group_violated;
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const auto& r = grid_rows[i];
     const auto& spec = grid[i];
-    const auto& result = results[i];
-    table.row({fmt(std::uint64_t{r.dim}), fmt(std::uint64_t{r.n}),
-               fmt(std::uint64_t{r.ts}), fmt(std::uint64_t{r.ta}),
-               to_string(spec.network), to_string(spec.adversary),
-               fmt(std::uint64_t{spec.corruptions}), fmt_ok(result.verdict.live),
-               fmt_ok(result.verdict.valid), fmt_ok(result.verdict.agreed),
-               fmt(result.verdict.output_diameter)});
+    const auto& verdict = results[i].verdict;
+    table.row(claim::row({r.cells(),
+                          {to_string(spec.network), to_string(spec.adversary),
+                           fmt(std::uint64_t{spec.corruptions})},
+                          claim::verdict_cells(verdict)}));
+    if (overload) {
+      group_violated[{r.dim, is_synchronous(spec.network)}] |= !verdict.d_aa();
+    } else {
+      claims.check(verdict.d_aa(), "T1a D=%zu n=%zu ts=%zu ta=%zu %s %s: D-AA failed",
+                   r.dim, r.n, r.ts, r.ta, to_string(spec.network).c_str(),
+                   to_string(spec.adversary).c_str());
+    }
   }
   table.print();
+  for (const auto& [group, violated] : group_violated) {
+    claims.check(violated, "T1b D=%zu %s: no violation one corruption past the bound",
+                 group.first, group.second ? "sync" : "async");
+  }
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::size_t jobs = 0;  // 0 = hardware concurrency
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--jobs" && i + 1 < argc) {
-      jobs = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      jobs = static_cast<std::size_t>(std::strtoull(arg.c_str() + 7, nullptr, 10));
-    } else {
-      std::fprintf(stderr, "usage: %s [--jobs N]\n", argv[0]);
-      return 2;
-    }
-  }
-  const std::vector<Row> rows{
+int main() {
+  const std::vector<claim::Shape> rows{
       // D = 1 (n > 2 ts + ta and n > 3 ts for the Bracha substrate)
       {1, 4, 1, 0},
       {1, 5, 1, 1},
@@ -117,21 +104,22 @@ int main(int argc, char** argv) {
       {3, 5, 1, 0},
       {3, 6, 1, 1},
   };
+  claim::Claims claims;
 
   std::printf("== T1a: at the tolerated thresholds — every row must read "
               "yes/yes/yes ==\n");
   std::printf("(sync rows corrupt ts parties; async rows corrupt ta; "
               "'mixed' cycles silent/equivocator/outlier/halt-rusher/"
               "spammer/crash)\n\n");
-  run_block(rows, /*overload=*/false, jobs);
+  run_block(rows, /*overload=*/false, claims);
 
   std::printf("\n== T1b: one corruption beyond the threshold — failures "
               "expected (bound is tight) ==\n");
   std::printf("(outlier attackers: validity violations surface as valid=NO; "
               "silent attackers: liveness loss)\n\n");
-  run_block(rows, /*overload=*/true, jobs);
+  run_block(rows, /*overload=*/true, claims);
 
   std::printf("\nPaper prediction (Thm 5.19 + Thms 3.1/3.2): T1a all-pass; "
               "T1b shows violations at ts+1 / ta+1.\n");
-  return 0;
+  return claims.exit_code();
 }

@@ -87,16 +87,6 @@ std::unique_ptr<sim::IParty> make_byzantine(Adversary kind, const RunSpec& spec,
   return std::make_unique<adversary::SilentParty>();
 }
 
-/// Accessors unifying the three protocol party types.
-struct HonestView {
-  const geo::Vec* input = nullptr;
-  bool has_output = false;
-  geo::Vec output;
-  std::uint64_t estimate = 0;
-  std::uint32_t output_iteration = 0;
-  const std::vector<geo::Vec>* history = nullptr;
-};
-
 void summary_json(obs::JsonWriter& w, std::string_view name,
                   const Stats::Summary& s) {
   w.key(name);
@@ -483,9 +473,7 @@ std::optional<obs::MonitorHost::Config> make_monitor_config(
       spec.adversary == Adversary::kNone || spec.adversary == Adversary::kSilent ||
       spec.adversary == Adversary::kCrash || spec.adversary == Adversary::kOutlier;
   if (schedule_bound_adversary) {
-    cfg.budget = spec.protocol == Protocol::kSyncLockstep
-                     ? obs::lockstep_complexity_budget(p.n, p.dim)
-                     : obs::hybrid_complexity_budget(p.n, p.dim);
+    cfg.budget = obs::complexity_budget(to_string(spec.protocol), p.n, p.dim);
   }
   return cfg;
 }

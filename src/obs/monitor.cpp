@@ -69,27 +69,25 @@ std::optional<MonitorMode> parse_monitor_mode(std::string_view name) {
 //   (n - 1) * [(6n + 4) + (2n + 2)(K + 2)]  messages on the wire.
 // Payloads are at most a report: n pairs of (id, D doubles) plus small
 // headers; 49 + n (16 + 8 D) per message over-approximates the wire size.
-ComplexityBudget hybrid_complexity_budget(std::size_t n, std::size_t dim) {
-  ComplexityBudget b;
-  const auto nn = static_cast<std::uint64_t>(n);
-  const std::uint64_t fanout = nn > 0 ? nn - 1 : 0;
-  b.msgs_fixed = fanout * (6 * nn + 4);
-  b.msgs_per_iteration = fanout * (2 * nn + 2);
-  const std::uint64_t max_wire = 49 + nn * (16 + 8 * static_cast<std::uint64_t>(dim));
-  b.bytes_fixed = b.msgs_fixed * max_wire;
-  b.bytes_per_iteration = b.msgs_per_iteration * max_wire;
-  return b;
-}
-
+//
 // The lock-step baseline broadcasts one value per round: n - 1 wire messages
 // per round (self-delivery excluded), each carrying one D-dimensional value.
-ComplexityBudget lockstep_complexity_budget(std::size_t n, std::size_t dim) {
-  ComplexityBudget b;
+ComplexityBudget complexity_budget(std::string_view protocol, std::size_t n,
+                                   std::size_t dim) {
   const auto nn = static_cast<std::uint64_t>(n);
+  const auto dd = static_cast<std::uint64_t>(dim);
   const std::uint64_t fanout = nn > 0 ? nn - 1 : 0;
-  b.msgs_fixed = 2 * fanout;
-  b.msgs_per_iteration = fanout;
-  const std::uint64_t max_wire = 49 + 8 * static_cast<std::uint64_t>(dim);
+  ComplexityBudget b;
+  std::uint64_t max_wire = 0;
+  if (protocol == "sync-lockstep") {
+    b.msgs_fixed = 2 * fanout;
+    b.msgs_per_iteration = fanout;
+    max_wire = 49 + 8 * dd;
+  } else {
+    b.msgs_fixed = fanout * (6 * nn + 4);
+    b.msgs_per_iteration = fanout * (2 * nn + 2);
+    max_wire = 49 + nn * (16 + 8 * dd);
+  }
   b.bytes_fixed = b.msgs_fixed * max_wire;
   b.bytes_per_iteration = b.msgs_per_iteration * max_wire;
   return b;
@@ -129,8 +127,7 @@ void MonitorHost::on_send(Time t, PartyId from, std::size_t bytes) {
   sent_msgs_[from] += 1;
   sent_bytes_[from] += bytes;
   const std::uint64_t k = max_iteration_;
-  const std::uint64_t msg_bound =
-      config_.budget.msgs_fixed + config_.budget.msgs_per_iteration * (k + 2);
+  const auto [msg_bound, byte_bound] = config_.budget.bound(k);
   if (!msgs_flagged_[from] && sent_msgs_[from] > msg_bound) {
     msgs_flagged_[from] = true;
     report(Violation{"complexity", from, static_cast<std::uint32_t>(k), t,
@@ -140,8 +137,6 @@ void MonitorHost::on_send(Time t, PartyId from, std::size_t bytes) {
                             static_cast<unsigned long long>(msg_bound),
                             static_cast<unsigned long long>(k))});
   }
-  const std::uint64_t byte_bound =
-      config_.budget.bytes_fixed + config_.budget.bytes_per_iteration * (k + 2);
   if (!bytes_flagged_[from] && sent_bytes_[from] > byte_bound) {
     bytes_flagged_[from] = true;
     report(Violation{"complexity", from, static_cast<std::uint32_t>(k), t,

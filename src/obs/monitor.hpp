@@ -91,15 +91,24 @@ struct ComplexityBudget {
   std::uint64_t msgs_per_iteration = 0;
   std::uint64_t bytes_fixed = 0;
   std::uint64_t bytes_per_iteration = 0;
+
+  struct Bound {
+    std::uint64_t msgs = 0;
+    std::uint64_t bytes = 0;
+  };
+  /// The per-party bound at highest adopted iteration K (Theorem 5.19).
+  [[nodiscard]] Bound bound(std::uint64_t k) const noexcept {
+    return {msgs_fixed + msgs_per_iteration * (k + 2),
+            bytes_fixed + bytes_per_iteration * (k + 2)};
+  }
 };
 
-/// Structural bound for the hybrid ΠAA stack (Πinit + per-iteration ΠoBC +
-/// halts over Bracha ΠrBC); derivation in monitor.cpp.
-[[nodiscard]] ComplexityBudget hybrid_complexity_budget(std::size_t n, std::size_t dim);
-
-/// Bound for the lock-step baseline: one broadcast per round.
-[[nodiscard]] ComplexityBudget lockstep_complexity_budget(std::size_t n,
-                                                          std::size_t dim);
+/// The structural budget of `protocol`, spelled as the CLI spells it: one
+/// broadcast per round for "sync-lockstep"; the ΠAA stack (Πinit +
+/// per-iteration ΠoBC + halts over Bracha ΠrBC) for the hybrid protocol and
+/// async-mh. Derivations in monitor.cpp.
+[[nodiscard]] ComplexityBudget complexity_budget(std::string_view protocol,
+                                                 std::size_t n, std::size_t dim);
 
 class MonitorHost {
  public:

@@ -564,14 +564,8 @@ std::size_t render_report(std::istream& trace, const std::string& metrics_json,
   if (n > 0 && dim > 0) {
     r.section("Complexity: paper bound vs measured");
     const std::string& protocol = spec.str("protocol");
-    const ComplexityBudget budget = protocol == "sync-lockstep"
-                                        ? lockstep_complexity_budget(n, dim)
-                                        : hybrid_complexity_budget(n, dim);
     const auto k = static_cast<std::uint64_t>(s.max_iteration);
-    const std::uint64_t msg_bound =
-        budget.msgs_fixed + budget.msgs_per_iteration * (k + 2);
-    const std::uint64_t byte_bound =
-        budget.bytes_fixed + budget.bytes_per_iteration * (k + 2);
+    const auto [msg_bound, byte_bound] = complexity_budget(protocol, n, dim).bound(k);
     r.para("Structural per-party bound for " + protocol + " at n=" +
            std::to_string(n) + ", D=" + std::to_string(dim) + ", K=" +
            std::to_string(k) + ": " + std::to_string(msg_bound) + " messages / " +

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -115,7 +114,6 @@ ServeResult run_serve(const ServeSpec& spec) {
   muxes.reserve(p.n);
   for (PartyId id = 0; id < p.n; ++id) {
     InstanceMux::Config cfg;
-    cfg.id = id;
     cfg.instances = spec.instances;
     cfg.interarrival = spec.interarrival;
     cfg.linger = linger;
@@ -255,21 +253,6 @@ ServeResult run_serve(const ServeSpec& spec) {
     }
   }
   return result;
-}
-
-Time latency_percentile(const ServeResult& result, double p) {
-  std::vector<Time> latencies;
-  latencies.reserve(result.outcomes.size());
-  for (const InstanceOutcome& out : result.outcomes) {
-    if (out.decided) latencies.push_back(out.decision_latency);
-  }
-  if (latencies.empty()) return 0;
-  std::sort(latencies.begin(), latencies.end());
-  const double clamped = std::clamp(p, 0.0, 100.0);
-  // Nearest-rank on the sorted sample, matching harness/stats.hpp.
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(clamped / 100.0 * static_cast<double>(latencies.size())));
-  return latencies[rank == 0 ? 0 : rank - 1];
 }
 
 }  // namespace hydra::serve

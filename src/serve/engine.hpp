@@ -112,8 +112,4 @@ struct ServeResult {
 /// Runs the spec's instances to completion on the shared backend.
 [[nodiscard]] ServeResult run_serve(const ServeSpec& spec);
 
-/// p-th percentile (0 <= p <= 100) of the decided instances' decision
-/// latencies, in ticks; 0 when nothing decided. Deterministic on sim.
-[[nodiscard]] Time latency_percentile(const ServeResult& result, double p);
-
 }  // namespace hydra::serve

@@ -103,7 +103,6 @@ class InstanceDirectory {
 class InstanceMux final : public sim::IParty {
  public:
   struct Config {
-    PartyId id = 0;
     std::uint32_t instances = 1;
     /// Open-loop admission: instance k starts at local time k * interarrival.
     Time interarrival = 0;

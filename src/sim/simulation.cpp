@@ -46,13 +46,7 @@ Simulation::Simulation(net::BackendConfig config,
                        std::unique_ptr<DelayModel> delay_model)
     : delay_model_(std::move(delay_model)),
       rng_(config.seed),
-      pipeline_(net::EgressConfig{.n = config.n,
-                                  .delta = config.delta,
-                                  .per_round = true,
-                                  .eager_ids = false,
-                                  .messages_counter = "sim.messages",
-                                  .bytes_counter = "sim.bytes",
-                                  .delay_histogram = "sim.delay_delta"}),
+      pipeline_(net::EgressConfig{.n = config.n, .delta = config.delta}),
       config_(std::move(config)) {
   HYDRA_ASSERT(delay_model_ != nullptr);
   HYDRA_ASSERT(config_.n >= 1);

@@ -67,13 +67,7 @@ ThreadNetwork::ThreadNetwork(net::BackendConfig config,
       local_(config_.n, true),
       delay_model_(std::move(delay_model)),
       delay_rng_(config_.seed),
-      pipeline_(net::EgressConfig{.n = config_.n,
-                                  .delta = config_.delta,
-                                  .per_round = false,
-                                  .eager_ids = true,
-                                  .messages_counter = "net.messages",
-                                  .bytes_counter = "net.bytes",
-                                  .delay_histogram = "net.delay_delta"}),
+      pipeline_(net::EgressConfig{.n = config_.n, .delta = config_.delta}),
       // std::atomic value-initializes (C++20): every flag and count starts 0.
       done_(config_.n),
       handled_(config_.n),

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "geometry/vec.hpp"
@@ -51,7 +52,7 @@ TEST(MonitorMode, ParseRoundTrips) {
 // -------------------------------------------------------------------- budgets
 
 TEST(ComplexityBudget, HybridMatchesDerivation) {
-  const auto b = obs::hybrid_complexity_budget(8, 2);
+  const auto b = obs::complexity_budget("hybrid", 8, 2);
   // (n-1)(6n + 4) fixed, (n-1)(2n + 2) per iteration: one broadcast costs
   // n - 1 counted messages because self-delivery never touches the wire
   // (header derivation).
@@ -63,7 +64,7 @@ TEST(ComplexityBudget, HybridMatchesDerivation) {
 }
 
 TEST(ComplexityBudget, LockstepIsLinearInN) {
-  const auto b = obs::lockstep_complexity_budget(10, 3);
+  const auto b = obs::complexity_budget("sync-lockstep", 10, 3);
   // Two broadcasts fixed, one per iteration, at n - 1 wire messages each.
   EXPECT_EQ(b.msgs_fixed, 18u);
   EXPECT_EQ(b.msgs_per_iteration, 9u);
@@ -397,6 +398,33 @@ TEST(Report, RendersMarkdownAndHtmlFromARealTrace) {
 
   std::remove(trace_path.c_str());
   std::remove(metrics_path.c_str());
+}
+
+// The complexity section prints the Thm 5.19 budget at the run's highest
+// adopted iteration K: bound(K) = fixed + per_iteration * (K + 2).
+TEST(Report, ComplexitySectionPinsTheBound) {
+  const std::vector<std::pair<harness::Protocol, std::string>> cases{
+      // 7 (6n + 4) + 7 (2n + 2) (1 + 2) messages, times 49 + n (16 + 8 D) bytes.
+      {harness::Protocol::kHybrid,
+       "bound for hybrid at n=8, D=2, K=1: 742 messages / 226310 bytes"},
+      // 2 (n - 1) + (n - 1) (0 + 2) messages, times 49 + 8 D bytes.
+      {harness::Protocol::kSyncLockstep,
+       "bound for sync-lockstep at n=8, D=2, K=0: 28 messages / 1820 bytes"},
+  };
+  for (const auto& [protocol, expected] : cases) {
+    const std::string trace_path = testing::TempDir() + "report_bound.jsonl";
+    const std::string metrics_path = testing::TempDir() + "report_bound.json";
+    auto spec = monitored_spec(protocol, 29);
+    spec.trace_out = trace_path;
+    spec.metrics_out = metrics_path;
+    (void)harness::execute(spec);
+    std::ifstream trace(trace_path);
+    std::ostringstream out;
+    EXPECT_GT(obs::render_report(trace, slurp(metrics_path), {}, out), 0u);
+    EXPECT_NE(out.str().find(expected), std::string::npos) << expected;
+    std::remove(trace_path.c_str());
+    std::remove(metrics_path.c_str());
+  }
 }
 
 // The send/deliver matrix has a row and a column per party, so a party id

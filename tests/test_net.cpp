@@ -76,8 +76,7 @@ TEST(EgressPipeline, EagerIdsAllocateForEverySendIncludingDrops) {
   // Eager (thread-transport) mode: every post consumes a mailbox tie-break
   // sequence number, observability on or off, dropped or not — the id stream
   // is a pure function of the post order under any fault plan.
-  net::ConcurrentEgressPipeline pipeline(
-      net::EgressConfig{.n = 3, .eager_ids = true});
+  net::ConcurrentEgressPipeline pipeline(net::EgressConfig{.n = 3});
   auto injector = make_injector("crash(party=0,at=0)");
 
   const auto first = pipeline.on_send(1, 2, test_message(), 0, 7, &injector);
@@ -101,8 +100,7 @@ TEST(EgressPipeline, EagerIdsAllocateForEverySendIncludingDrops) {
 }
 
 TEST(EgressPipeline, DuplicateGetsSecondSeqAndSharesSendId) {
-  net::ConcurrentEgressPipeline pipeline(
-      net::EgressConfig{.n = 3, .eager_ids = true});
+  net::ConcurrentEgressPipeline pipeline(net::EgressConfig{.n = 3});
   auto injector = make_injector("dup(p=1,skew=100)");
 
   const auto out = pipeline.on_send(0, 1, test_message(), 0, 7, &injector);

@@ -205,18 +205,3 @@ TEST(ServeDeathTest, UnknownBackendNamesEveryRegisteredBackend) {
   }
   EXPECT_DEATH((void)serve::run_serve(spec), expected);
 }
-
-TEST(Serve, LatencyPercentileNearestRank) {
-  serve::ServeResult result;
-  EXPECT_EQ(serve::latency_percentile(result, 50.0), 0);
-  for (const Time t : {40, 10, 30, 20}) {
-    serve::InstanceOutcome outcome;
-    outcome.decided = true;
-    outcome.decision_latency = t;
-    result.outcomes.push_back(outcome);
-  }
-  EXPECT_EQ(serve::latency_percentile(result, 0.0), 10);
-  EXPECT_EQ(serve::latency_percentile(result, 50.0), 20);
-  EXPECT_EQ(serve::latency_percentile(result, 99.0), 40);
-  EXPECT_EQ(serve::latency_percentile(result, 100.0), 40);
-}

@@ -185,7 +185,6 @@
 #include "obs/monitor.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
-#include "serve/engine.hpp"
 #include "transport/socket_net.hpp"
 
 using namespace hydra;
@@ -204,23 +203,17 @@ struct Options {
   std::string listen;                   ///< --listen override for own entry
   bool n_given = false;
   bool backend_given = false;
-  // bench serve (multi-instance throughput) options.
-  std::uint32_t instances = 256;        ///< --instances
-  Time interarrival = 0;                ///< --interarrival, ticks
-  Duration linger = -1;                 ///< --linger, ticks (-1 = default)
-  std::string bench_json;               ///< --json (hydra-bench-v1 out)
 };
 
 [[noreturn]] void usage(const char* error = nullptr) {
   if (error != nullptr) std::fprintf(stderr, "error: %s\n\n", error);
   std::fprintf(stderr,
-               "usage: hydra <run|sweep|serve|join|bench|report|perf|top|list> [--key value | --key=value ...]\n"
+               "usage: hydra <run|sweep|serve|join|report|perf|top|list> [--key value | --key=value ...]\n"
                "keys: n ts ta dim eps delta protocol network adversary corrupt\n"
                "      workload scale seed seeds aggregation jobs sweep-json\n"
                "      trace-out metrics-json perf-json log-level monitors faults backend\n"
                "      stats-json stats-interval domain\n"
                "serve/join keys: party peers listen (docs/DEPLOYMENT.md)\n"
-               "bench serve keys: instances interarrival linger json (+ run keys)\n"
                "report keys: trace merge merged-out metrics out format title\n"
                "perf keys: json baseline budget inflate input top\n"
                "top keys: input\n"
@@ -314,10 +307,6 @@ Options parse(int argc, char** argv) {
   spec.seed = num("seed", spec.seed);
   opts.seeds = num("seeds", opts.seeds);
   opts.jobs = num("jobs", opts.jobs);
-  opts.instances = num("instances", opts.instances);
-  opts.interarrival = num("interarrival", opts.interarrival);
-  opts.linger = num("linger", opts.linger);
-  if (const auto it = kv.find("json"); it != kv.end()) opts.bench_json = it->second;
 
   if (const auto it = kv.find("protocol"); it != kv.end()) {
     const auto p = parse_protocol(it->second);
@@ -624,75 +613,6 @@ int cmd_serve(Options opts) {
   }
   if (spec.corruptions >= spec.params.n) usage("corrupt must be < n");
   return cmd_run(opts);
-}
-
-/// bench serve: sustain open-loop multi-instance load on a SOCKET backend in
-/// one process (every non-self message crosses the OS) and report
-/// instances/sec + decision-latency percentiles, optionally as a
-/// hydra-bench-v1 JSON document (--json).
-int cmd_bench_serve(const Options& opts) {
-  serve::ServeSpec spec;
-  spec.params = opts.spec.params;
-  spec.workload = opts.spec.workload;
-  spec.workload_scale = opts.spec.workload_scale;
-  spec.network = opts.spec.network;
-  spec.seed = opts.spec.seed;
-  spec.monitors = opts.spec.monitors;
-  spec.backend = opts.backend_given ? opts.spec.backend : "uds";
-  if (spec.backend != "tcp" && spec.backend != "uds") {
-    usage("bench serve sustains load on a socket backend (tcp or uds)");
-  }
-  spec.instances = opts.instances;
-  spec.interarrival = opts.interarrival;
-  spec.linger = opts.linger;
-  spec.us_per_tick = opts.spec.us_per_tick;
-  spec.timeout_ms = opts.spec.timeout_ms;
-  if (spec.instances == 0) usage("--instances must be >= 1");
-
-  const auto result = serve::run_serve(spec);
-  const double wall_s = static_cast<double>(result.wall_ms) / 1000.0;
-  const double rate =
-      wall_s > 0.0 ? static_cast<double>(result.decided) / wall_s : 0.0;
-  const Time p50 = serve::latency_percentile(result, 50.0);
-  const Time p99 = serve::latency_percentile(result, 99.0);
-  std::printf("bench serve: backend=%s n=%zu instances=%u decided=%u pass=%s\n",
-              spec.backend.c_str(), spec.params.n, spec.instances,
-              result.decided, result.all_pass ? "yes" : "no");
-  std::printf("  instances/sec     %.1f  (wall %.2fs)\n", rate, wall_s);
-  std::printf("  decision latency  p50 %lld  p99 %lld  ticks\n",
-              static_cast<long long>(p50), static_cast<long long>(p99));
-  std::printf("  wire              %llu msgs  %llu bytes  frames/flush %.1f\n",
-              static_cast<unsigned long long>(result.messages),
-              static_cast<unsigned long long>(result.bytes),
-              result.transport_health.flushes > 0
-                  ? static_cast<double>(result.transport_health.frames_sent) /
-                        static_cast<double>(result.transport_health.flushes)
-                  : 0.0);
-  std::printf("  slab              slots %zu  live-peak %zu  late-drops %llu\n",
-              result.slots_allocated, result.live_peak,
-              static_cast<unsigned long long>(result.late_dropped));
-  if (spec.monitors != obs::MonitorMode::kOff) {
-    std::printf("  monitors          %llu violations\n",
-                static_cast<unsigned long long>(result.monitor_violations));
-  }
-
-  if (!opts.bench_json.empty()) {
-    const double us_per_instance =
-        result.decided > 0 ? static_cast<double>(result.wall_ms) * 1000.0 /
-                                 static_cast<double>(result.decided)
-                           : 0.0;
-    const std::vector<BenchMetric> metrics = {
-        {"serve." + spec.backend + ".us_per_instance", "us/instance",
-         us_per_instance, result.decided},
-        {"serve." + spec.backend + ".decision_p99_ticks", "ticks",
-         static_cast<double>(p99), result.decided},
-    };
-    if (!write_bench_json(opts.bench_json, "bench_serve", metrics)) return 1;
-  }
-  return result.decided == spec.instances && result.all_pass &&
-                 result.monitor_violations == 0
-             ? 0
-             : 1;
 }
 
 /// "t.jsonl" -> "t.s7.jsonl"; extensionless paths get the suffix appended.
@@ -1145,14 +1065,6 @@ int main(int argc, char** argv) {
   if (command == "report") return cmd_report(argc, argv);
   if (command == "perf") return cmd_perf(argc, argv);
   if (command == "top") return cmd_top(argc, argv);
-  if (command == "bench") {
-    // `hydra bench serve [--keys]`: shift argv past "bench" so the shared
-    // option parser sees its usual <command> [--key value] shape.
-    if (argc < 3 || std::string(argv[2]) != "serve") {
-      usage("bench requires a mode: hydra bench serve [--keys]");
-    }
-    return cmd_bench_serve(parse(argc - 1, argv + 1));
-  }
   const auto opts = parse(argc, argv);
   if (command == "run") return cmd_run(opts);
   if (command == "sweep") return cmd_sweep(opts);
